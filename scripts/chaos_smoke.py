@@ -7,8 +7,8 @@ fails loudly with a named error — never a hang, never silently wrong
 rows.  Scenarios:
 
 1. SIGTERM mid-grid → exit code 4 → ``--resume`` → identical metrics
-   (materialised path).
-2. The same round-trip on the streaming path (``--chunk-size``).
+   (no chunk size: datasets and answers materialised).
+2. The same round-trip with ``--chunk-size`` (cells streamed).
 3. Flaky backend (seeded 429s) → retries recover → identical metrics.
 4. Terminal faults under ``--on-cell-error degrade`` → run completes
    with structured, reported gaps.

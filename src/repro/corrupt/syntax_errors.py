@@ -30,6 +30,7 @@ from repro.sql.transform import (
     named_tables,
     replace_expr,
     select_cores,
+    walk_scope,
 )
 
 #: Error-type labels, re-exported in the paper's order.
@@ -348,10 +349,11 @@ def _inject_alias_ambiguous(
         local_shared = [name for name, count in counts.items() if count > 1]
         if not local_shared:
             continue
-        # Prefer stripping the qualifier from an existing reference (Q6).
+        # Prefer stripping the qualifier from an existing reference (Q6),
+        # in this core's scope only: a nested SELECT has its own sources.
         refs = [
             node
-            for node in n.walk(core)
+            for node in walk_scope(core)
             if isinstance(node, n.ColumnRef)
             and node.table is not None
             and node.name.lower() in local_shared

@@ -1,18 +1,17 @@
-"""Parallel, sharded, cache-backed experiment engine.
+"""Chunked, cache-backed experiment engine.
 
 Public surface:
 
 * :class:`ExperimentEngine` / :class:`EngineConfig` — evaluate grid
-  cells across a process pool (or deterministically in-process at
-  ``workers=1``), with identical outputs either way;
+  cells chunk by chunk on a work queue of worker processes (or
+  deterministically in-process at ``workers=1``), with identical
+  outputs either way;
 * :class:`ResultCache` and :func:`cell_key` / :func:`dataset_key` /
   :func:`workload_key` — the content-addressed on-disk cache for cells,
   datasets and workloads;
-* :func:`plan_shards` / :func:`merge_shards` — the deterministic shard
-  plan shared by both execution paths;
-* :class:`ShardSpec` — the zero-copy shard unit workers evaluate:
-  a dataset cache key plus a ``[start, stop)`` range (instances travel
-  inline only when no cache directory is configured).
+* :class:`ShardSpec` / :func:`evaluate_shard` — the chunk unit workers
+  evaluate: its instances inline, or a dataset cache key plus a
+  ``[start, stop)`` range.
 """
 
 from repro.engine.cache import (
@@ -27,15 +26,8 @@ from repro.engine.cache import (
     workload_key,
 )
 from repro.engine.core import EngineConfig, ExperimentEngine
-from repro.engine.sharding import (
-    DEFAULT_SHARD_SIZE,
-    Shard,
-    merge_shards,
-    plan_shards,
-)
 from repro.engine.worker import (
     ShardSpec,
-    build_dataset_remote,
     evaluate_shard,
     reset_worker_caches,
 )
@@ -43,20 +35,15 @@ from repro.engine.worker import (
 __all__ = [
     "CACHE_VERSION",
     "CacheStats",
-    "DEFAULT_SHARD_SIZE",
     "EngineConfig",
     "ExperimentEngine",
     "ResultCache",
-    "Shard",
     "ShardSpec",
     "answer_from_dict",
     "answer_to_dict",
-    "build_dataset_remote",
     "cell_key",
     "dataset_key",
     "evaluate_shard",
-    "merge_shards",
-    "plan_shards",
     "prompt_fingerprint",
     "reset_worker_caches",
     "workload_key",

@@ -2,20 +2,25 @@
 
 Three namespaces under one cache root:
 
-* ``cells/`` — each (model, task, workload) cell's answers, stored as
-  JSON under a key that hashes everything the answers depend on: the
-  generation seed, the model profile fingerprint, the task, the
-  workload, ``max_instances``, the prompt template, and a cache format
-  version;
-* ``datasets/`` — each built :class:`TaskDataset`, pickled under a key
-  hashing (task, workload, seed, max_instances).  Dataset construction
+* ``cells/`` — each (model, task, workload) cell's answers, under a key
+  that hashes everything the answers depend on: the generation seed,
+  the model profile fingerprint, the task, the workload,
+  ``max_instances``, the prompt template, and a cache format version;
+* ``datasets/`` — each built dataset's instances, under a key hashing
+  (task, workload, seed, max_instances).  Dataset construction
   (parsing, corruption injection, pair generation) dominates a cold
-  grid run, so warm runs load instead of rebuilding.  Worker processes
-  materialize shard instances from this namespace, which is what lets
-  shard dispatch ship keys instead of pickled instance payloads;
+  grid run, so warm runs load instead of rebuilding, and workers
+  materialize chunk instances from here, which is what lets a chunk
+  name a dataset slice instead of carrying pickled instances;
 * ``workloads/`` — each loaded :class:`Workload`, pickled under a key
   hashing (workload, seed), so workers that must *build* a dataset load
   the workload in milliseconds instead of regenerating it per process.
+
+Cell and dataset entries are *segmented*: a directory of segments plus
+a manifest written last, which is the entry's commit point (see the
+segmented-entries section below).  :meth:`ResultCache.get` /
+:meth:`~ResultCache.put` and :meth:`~ResultCache.get_dataset` /
+:meth:`~ResultCache.put_dataset` read and write a whole entry at once.
 
 Change any input and the key changes, so stale entries are never served
 — they are simply never looked up again.  Writes go through a
@@ -30,7 +35,7 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,14 +47,45 @@ from repro.tasks.base import ModelAnswer, TaskDataset
 #: Bump when the serialized answer format changes; old entries miss.
 CACHE_VERSION = 1
 
+#: What reading a damaged JSON or pickle entry can raise.
+_UNREADABLE = (
+    OSError,
+    ValueError,
+    KeyError,
+    TypeError,
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+)
+
+
+def _read_bytes(path: str) -> bytes:
+    """A whole cache file, read with as few system calls as possible.
+
+    Warm runs read two small files per entry (manifest and segment).
+    Each system call releases the interpreter lock, which a busy sibling
+    thread (a service running jobs while it renders reports) may then
+    hold for a whole switch interval, so buffered ``open().read()``
+    with its extra ``lseek``/``isatty`` calls costs real latency there.
+    Entries are replaced by rename, never rewritten in place, so the
+    size an open file reports is the size it keeps.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+
 
 class CacheSegmentError(Exception):
     """A segmented cache entry is unreadable or inconsistent mid-stream.
 
-    Raised by the segment iterators (not the monolithic getters, which
+    Raised by the segment iterators (not the whole-entry getters, which
     translate problems into misses) because a streamed read may already
     have handed out earlier segments when the problem surfaces; the
-    streaming engine catches this and falls back to a clean recompute.
+    engine catches this and falls back to a clean recompute.
     """
 
 
@@ -233,13 +269,7 @@ class CacheStats:
     dataset_misses: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "dataset_hits": self.dataset_hits,
-            "dataset_misses": self.dataset_misses,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -252,12 +282,6 @@ class ResultCache:
     def __post_init__(self) -> None:
         self.root = Path(self.root)
 
-    def _path(self, key: str) -> Path:
-        return self.root / "cells" / key[:2] / f"{key}.json"
-
-    def _dataset_path(self, key: str) -> Path:
-        return self.root / "datasets" / f"{key}.pkl"
-
     def _workload_path(self, key: str) -> Path:
         return self.root / "workloads" / f"{key}.pkl"
 
@@ -266,106 +290,61 @@ class ResultCache:
     ) -> Optional[list[ModelAnswer]]:
         """Cached answers for ``key``, or None on miss.
 
-        Unreadable or version-mismatched entries count as misses, as do
-        entries whose answers do not align id-for-id with
+        Absent, unreadable or version-mismatched entries count as
+        misses, as do entries whose answers do not align id-for-id with
         ``expected_ids`` — the cache is an optimisation, never a source
         of errors or misaligned metrics.
         """
-        path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("version") != CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            answers = [answer_from_dict(item) for item in payload["answers"]]
-        except (OSError, ValueError, KeyError, TypeError):
-            # Warm-path reassembly: a cell written by a streaming run
-            # lives as segments; materialised readers stitch them back.
-            answers = self._reassemble_cell(key)
-            if answers is None:
-                self.stats.misses += 1
-                return None
-        if expected_ids is not None and [
-            answer.instance_id for answer in answers
-        ] != list(expected_ids):
+            answers = [a for chunk in self.iter_cell_segments(key) for a in chunk]
+        except CacheSegmentError:
+            answers = None
+        if answers is None or (
+            expected_ids is not None
+            and [answer.instance_id for answer in answers] != list(expected_ids)
+        ):
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         return answers
 
-    def _reassemble_cell(self, key: str) -> Optional[list[ModelAnswer]]:
-        if self.get_cell_manifest(key) is None:
-            return None
-        answers: list[ModelAnswer] = []
-        try:
-            for segment in self.iter_cell_segments(key):
-                answers.extend(segment)
-        except CacheSegmentError:
-            return None
-        return answers
-
     def put(
         self, key: str, answers: list[ModelAnswer], meta: Optional[dict] = None
     ) -> Path:
-        """Store a cell's answers atomically; returns the entry path."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": CACHE_VERSION,
-            "meta": meta or {},
-            "answers": [answer_to_dict(answer) for answer in answers],
-        }
-        temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        temporary.write_text(json.dumps(payload))
-        temporary.replace(path)
-        self.stats.writes += 1
-        return path
+        """Store a cell's answers as one segment; returns the manifest path."""
+        self.put_cell_segment(key, 0, answers)
+        return self.commit_cell_segments(key, len(answers), [len(answers)], meta)
 
     # -- datasets ----------------------------------------------------------
 
     def get_dataset(self, key: str) -> Optional[TaskDataset]:
         """Cached dataset for ``key``, or None (corrupt entries miss)."""
-        path = self._dataset_path(key)
-        try:
-            with path.open("rb") as handle:
-                dataset = pickle.load(handle)
-            if not isinstance(dataset, TaskDataset):
-                raise ValueError("not a TaskDataset")
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError):
-            # Warm-path reassembly from a streaming run's segments.
-            dataset = self._reassemble_dataset(key)
-            if dataset is None:
-                self.stats.dataset_misses += 1
-                return None
+        manifest = self.get_dataset_manifest(key)
+        meta = manifest.get("meta", {}) if manifest is not None else {}
+        dataset: Optional[TaskDataset] = None
+        if meta.get("task") and meta.get("workload"):
+            dataset = TaskDataset(task=meta["task"], workload=meta["workload"])
+            try:
+                for segment in self.iter_dataset_segments(key, manifest):
+                    dataset.instances.extend(segment)
+            except CacheSegmentError:
+                dataset = None
+        if dataset is None:
+            self.stats.dataset_misses += 1
+            return None
         self.stats.dataset_hits += 1
         return dataset
 
-    def _reassemble_dataset(self, key: str) -> Optional[TaskDataset]:
-        manifest = self.get_dataset_manifest(key)
-        if manifest is None:
-            return None
-        meta = manifest.get("meta", {})
-        task = meta.get("task")
-        workload = meta.get("workload")
-        if not task or not workload:
-            return None
-        dataset = TaskDataset(task=task, workload=workload)
-        try:
-            for segment in self.iter_dataset_segments(key):
-                dataset.instances.extend(segment)
-        except CacheSegmentError:
-            return None
-        return dataset
-
     def put_dataset(self, key: str, dataset: TaskDataset) -> Path:
-        """Store a built dataset atomically; returns the entry path."""
-        path = self._dataset_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        with temporary.open("wb") as handle:
-            pickle.dump(dataset, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        temporary.replace(path)
-        return path
+        """Store a built dataset as one segment; returns the manifest path."""
+        count = len(dataset.instances)
+        self.put_dataset_segment(key, 0, dataset.instances)
+        return self.commit_dataset_segments(
+            key,
+            count,
+            [count],
+            meta={"task": dataset.task, "workload": dataset.workload},
+        )
 
     # -- workloads ---------------------------------------------------------
 
@@ -373,56 +352,72 @@ class ResultCache:
         """Cached workload for ``key``, or None (corrupt entries miss)."""
         from repro.workloads.base import Workload
 
-        path = self._workload_path(key)
         try:
-            with path.open("rb") as handle:
-                workload = pickle.load(handle)
+            workload = pickle.loads(_read_bytes(self._workload_path(key)))
             if not isinstance(workload, Workload):
                 raise ValueError("not a Workload")
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError):
+        except _UNREADABLE:
             return None
         return workload
 
     def put_workload(self, key: str, workload) -> Path:
         """Store a loaded workload atomically; returns the entry path."""
-        path = self._workload_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        with temporary.open("wb") as handle:
-            pickle.dump(workload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        temporary.replace(path)
-        return path
+        return self._write_atomic_bytes(
+            self._workload_path(key),
+            pickle.dumps(workload, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     # -- segmented entries -------------------------------------------------
     #
-    # Chunked storage for streaming runs: one directory per key holding
-    # fixed-size segments plus a manifest.  The manifest is written LAST
+    # Every cell and dataset entry: one directory per key holding
+    # segments plus a manifest.  The manifest is written LAST
     # (after every segment landed via temp+rename), so it doubles as the
     # commit record — a crash mid-run leaves segments without a
     # manifest, which readers treat as "entry absent".  No partial entry
     # is ever visible.
 
     def _dataset_segment_dir(self, key: str) -> Path:
-        return self.root / "datasets" / key
+        return self.root.joinpath("datasets", key)
 
     def _cell_segment_dir(self, key: str) -> Path:
-        return self.root / "cells" / key[:2] / key
+        return self.root.joinpath("cells", key[:2], key)
 
     @staticmethod
     def _segment_name(index: int, suffix: str) -> str:
         return f"seg-{index:05d}{suffix}"
 
     def _write_atomic_bytes(self, path: Path, data: bytes) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
         temporary = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        temporary.write_bytes(data)
+        try:
+            temporary.write_bytes(data)
+        except FileNotFoundError:
+            # First file of its entry: create the directory only then,
+            # not with a mkdir call before every segment and manifest.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temporary.write_bytes(data)
         temporary.replace(path)
         return path
 
+    def _iter_segments(
+        self, directory: Path, kind: str, suffix: str, load, manifest=None
+    ):
+        """Yield a committed entry's segments in order (see the iterators)."""
+        manifest = manifest or self._read_manifest(directory, kind)
+        if manifest is None:
+            raise CacheSegmentError(f"no committed {kind} in {directory}")
+        for index, count in enumerate(manifest["counts"]):
+            path = os.path.join(directory, self._segment_name(index, suffix))
+            try:
+                items = load(path)
+                if not isinstance(items, list) or len(items) != count:
+                    raise ValueError("segment length mismatch")
+            except _UNREADABLE as error:
+                raise CacheSegmentError(f"{path} unreadable: {error}") from error
+            yield items
+
     def _read_manifest(self, directory: Path, kind: str) -> Optional[dict]:
         try:
-            manifest = json.loads((directory / "manifest.json").read_text())
+            manifest = json.loads(_read_bytes(os.path.join(directory, "manifest.json")))
             if manifest.get("version") != CACHE_VERSION:
                 raise ValueError("segment manifest version mismatch")
             if manifest.get("kind") != kind:
@@ -483,29 +478,20 @@ class ResultCache:
             self._dataset_segment_dir(key), "dataset-segments"
         )
 
-    def iter_dataset_segments(self, key: str):
+    def iter_dataset_segments(self, key: str, manifest: Optional[dict] = None):
         """Yield committed dataset segments in order.
 
+        ``manifest`` saves re-reading one the caller already holds.
         Raises :class:`CacheSegmentError` when a segment is missing,
         truncated, or the wrong length — callers recompute from scratch.
         """
-        manifest = self.get_dataset_manifest(key)
-        if manifest is None:
-            raise CacheSegmentError(f"no committed dataset segments for {key}")
-        directory = self._dataset_segment_dir(key)
-        for index, count in enumerate(manifest["counts"]):
-            path = directory / self._segment_name(index, ".pkl")
-            try:
-                with path.open("rb") as handle:
-                    instances = pickle.load(handle)
-                if not isinstance(instances, list) or len(instances) != count:
-                    raise ValueError("segment length mismatch")
-            except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as error:
-                raise CacheSegmentError(
-                    f"dataset segment {index} of {key} unreadable: {error}"
-                ) from error
-            yield instances
+        return self._iter_segments(
+            self._dataset_segment_dir(key),
+            "dataset-segments",
+            ".pkl",
+            lambda path: pickle.loads(_read_bytes(path)),
+            manifest,
+        )
 
     def put_cell_segment(
         self, key: str, index: int, answers: list[ModelAnswer]
@@ -538,27 +524,17 @@ class ResultCache:
         Raises :class:`CacheSegmentError` when a segment is missing,
         truncated, or the wrong length — callers recompute from scratch.
         """
-        manifest = self.get_cell_manifest(key)
-        if manifest is None:
-            raise CacheSegmentError(f"no committed cell segments for {key}")
-        directory = self._cell_segment_dir(key)
-        for index, count in enumerate(manifest["counts"]):
-            path = directory / self._segment_name(index, ".json")
-            try:
-                items = json.loads(path.read_text())
-                answers = [answer_from_dict(item) for item in items]
-                if len(answers) != count:
-                    raise ValueError("segment length mismatch")
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                raise CacheSegmentError(
-                    f"cell segment {index} of {key} unreadable: {error}"
-                ) from error
-            yield answers
+        return self._iter_segments(
+            self._cell_segment_dir(key),
+            "cell-segments",
+            ".json",
+            lambda path: [answer_from_dict(a) for a in json.loads(_read_bytes(path))],
+        )
 
     def discard_segments(self, key: str) -> None:
         """Drop any (possibly uncommitted) segment files for ``key``.
 
-        Used by failed streamed cells so orphaned segments don't linger;
+        Used by failed cells so orphaned segments don't linger;
         removing the manifest first keeps the entry invisible throughout.
         """
         for directory in (
@@ -578,24 +554,18 @@ class ResultCache:
     # -- maintenance -------------------------------------------------------
 
     def entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("cells/*/*.json"))
+        """The manifest of every committed cell entry."""
+        return sorted(self.root.glob("cells/*/*/manifest.json"))
 
     def dataset_entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("datasets/*.pkl"))
+        """The manifest of every committed dataset entry."""
+        return sorted(self.root.glob("datasets/*/manifest.json"))
 
     def workload_entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
         return sorted(self.root.glob("workloads/*.pkl"))
 
     def segment_entries(self) -> list[Path]:
         """Every segment file and manifest across both namespaces."""
-        if not self.root.is_dir():
-            return []
         return sorted(
             [
                 *self.root.glob("datasets/*/seg-*.pkl"),
@@ -608,30 +578,23 @@ class ResultCache:
     def size_bytes(self) -> int:
         return sum(
             path.stat().st_size
-            for path in (
-                *self.entries(),
-                *self.dataset_entries(),
-                *self.workload_entries(),
-                *self.segment_entries(),
-            )
+            for path in (*self.workload_entries(), *self.segment_entries())
         )
 
     def clear(self) -> int:
-        """Delete every cell and dataset entry; returns how many.
+        """Delete every cell, dataset and workload entry; returns how many.
 
-        Also sweeps ``*.tmp.*`` files orphaned by interrupted atomic
-        writes (they are invisible to ``entries()`` and would otherwise
-        accumulate forever).
+        Also sweeps segments of uncommitted entries and ``*.tmp.*`` files
+        orphaned by interrupted atomic writes (they are invisible to
+        ``entries()`` and would otherwise accumulate forever).
         """
-        removed = 0
-        for path in (
-            *self.entries(),
-            *self.dataset_entries(),
-            *self.workload_entries(),
-            *self.segment_entries(),
-        ):
+        removed = (
+            len(self.entries())
+            + len(self.dataset_entries())
+            + len(self.workload_entries())
+        )
+        for path in (*self.workload_entries(), *self.segment_entries()):
             path.unlink(missing_ok=True)
-            removed += 1
         for orphan in self.root.glob("**/*.tmp.*"):
             if orphan.is_file():
                 orphan.unlink(missing_ok=True)

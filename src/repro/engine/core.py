@@ -1,22 +1,20 @@
-"""The parallel, sharded, cache-backed experiment engine.
+"""The cache-backed experiment engine.
 
 The paper's evaluation grid (models x tasks x workloads) is
 embarrassingly parallel: every answer depends only on ``(model, task,
-instance_id)``.  The engine exploits that by splitting each cell into
-contiguous instance shards, fanning the shards of *all* pending cells
-across one long-lived ``ProcessPoolExecutor``, and merging answers back
-in shard order — so a parallel run is byte-identical to the serial one.
-
-``workers=1`` (the default) never touches multiprocessing: the same
-shard plan is executed in-process, deterministically, which keeps unit
-tests and small runs free of pool start-up cost.
+instance_id)``.  The engine exploits that by cutting each cell into
+contiguous instance chunks, evaluating them in-process (``workers=1``,
+the default: no multiprocessing at all) or on a pull-based work queue
+of worker processes, and merging answers back in chunk order — so a
+parallel run is byte-identical to the serial one.  The scheduler lives
+in :mod:`repro.engine.streaming`.
 
 With a cache directory configured, evaluated cells are persisted through
 :mod:`repro.engine.cache`; re-running a grid only recomputes cells whose
 inputs (seed, profile, prompt, workload, instance cap, backend) changed.
 
 Model calls go through the pluggable backend layer
-(:mod:`repro.llm.backends`): each shard's requests are batched through
+(:mod:`repro.llm.backends`): each chunk's requests are batched through
 an async dispatcher (bounded concurrency, rate limiting, retries) to
 the configured backend — the in-process simulator by default, an HTTP
 endpoint or a record/replay fixture store otherwise.
@@ -24,8 +22,7 @@ endpoint or a record/replay fixture store otherwise.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Future, ProcessPoolExecutor
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -37,24 +34,11 @@ from repro.engine.cache import (
     prompt_fingerprint,
     workload_key,
 )
-from repro.engine.sharding import (
-    DEFAULT_SHARD_SIZE,
-    Shard,
-    merge_shards,
-    plan_shards,
-)
-from repro.engine.worker import (
-    ShardSpec,
-    build_workload_datasets_remote,
-    evaluate_shard,
-    init_worker_process,
-)
+from repro.engine.worker import DatasetTask
 from repro.lifecycle import (
     CELL_COMMITTED,
     CELL_DEGRADED,
     CELL_FAILED,
-    CELL_IN_FLIGHT,
-    CELL_PENDING,
     CELL_SKIPPED,
     CellFailure,
     GracefulInterrupt,
@@ -70,7 +54,6 @@ from repro.llm.backends import (
     BackendSpec,
     BreakerState,
     CircuitBreaker,
-    DeadlineExceededError,
     ModelBackend,
     create_backend,
 )
@@ -88,7 +71,7 @@ from repro.workloads import load_workload
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, see below
-    from repro.engine.streaming import StreamingEvaluator
+    from repro.engine.streaming import StreamingEvaluator, _Cell
     from repro.evalfw.runner import CellResult
 
 
@@ -98,13 +81,12 @@ class EngineConfig:
 
     seed: int = 0
     workers: int = 1
-    shard_size: int = DEFAULT_SHARD_SIZE
     cache_dir: Optional[Path] = None  # None disables the result cache
     max_instances: Optional[int] = None
-    #: Streamed chunk size; None keeps the materialised data path.  When
-    #: set, cells flow chunk-by-chunk through the work-queue pool
-    #: (:mod:`repro.engine.streaming`) with memory bounded by the chunk
-    #: size instead of the dataset size.
+    #: Chunk size; None materialises each cell's dataset and keeps every
+    #: answer.  When set, cells stream ``chunk_size`` instances at a time
+    #: and keep metric counts only (:mod:`repro.engine.streaming`), with
+    #: memory bounded by the chunk size instead of the dataset size.
     chunk_size: Optional[int] = None
     #: Which model backend answers requests (default: the simulator).
     backend: BackendSpec = SIMULATED_SPEC
@@ -121,9 +103,9 @@ class EngineConfig:
     #: ``asyncio.wait_for`` safety net in the dispatcher.
     request_timeout: Optional[float] = None
     #: Per-cell wall-clock budget in seconds (None = unbounded).  The
-    #: serial path spends it cumulatively across the cell's shards;
-    #: pool paths grant each shard/chunk batch the full budget (coarser,
-    #: but still bounds a hung endpoint per dispatch).
+    #: in-process path spends it cumulatively across the cell's chunks;
+    #: the work queue grants each chunk the full budget (coarser, but
+    #: still bounds a hung endpoint per dispatch).
     cell_deadline: Optional[float] = None
     #: Circuit-breaker trip threshold (consecutive transient failures).
     #: None = auto: on for remote backends (openai_compat), off for the
@@ -136,8 +118,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.max_concurrency < 1:
@@ -179,13 +159,11 @@ class EngineConfig:
 class CellLog:
     """Provenance of one served cell: cache hit or computed, and when.
 
-    ``seconds`` is the cell's compute time: wall time for serially
-    computed cells, and the *sum* of the cell's per-shard worker wall
-    times for parallel cells (shards of different cells overlap, so the
-    parent's clock cannot attribute elapsed time — the workers' clocks
-    can).  ``shard_seconds_max`` additionally records the slowest shard
-    of a parallel cell (the cell's critical path); it is None for
-    serial and cached serves.  Cached cells record ~0 seconds.
+    ``seconds`` is the cell's compute time: the *sum* of its chunks'
+    evaluation times, measured where each chunk ran (chunks of
+    different cells overlap on the work queue, so the parent's clock
+    cannot attribute elapsed time — the workers' clocks can).  Cached
+    cells record 0 seconds.
     ``prompt`` is the prompt-template fingerprint the cell was asked
     with, so a re-serve under a *different* prompt is distinguishable
     from a repeat serve of the same experiment.  The reporting layer
@@ -199,7 +177,6 @@ class CellLog:
     cached: bool
     seconds: Optional[float]
     prompt: str = ""
-    shard_seconds_max: Optional[float] = None
 
 
 class ExperimentEngine:
@@ -251,8 +228,11 @@ class ExperimentEngine:
         #: Memoised fixtures-content hash (replay mode; one IO pass).
         self._backend_state_memo: Optional[str] = None
         self._by_name = {profile.name: profile for profile in models}
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._streaming: Optional["StreamingEvaluator"] = None
+        #: Chunked runs without a cache keep dataset segments here, so
+        #: a dataset read by several cells is generated once.
+        self._spill: Optional[ResultCache] = None
+        self._spill_dir: Optional[tempfile.TemporaryDirectory] = None
 
     # -- shared state ------------------------------------------------------
 
@@ -262,19 +242,21 @@ class ExperimentEngine:
         return self._workloads[name]
 
     def dataset(self, task: str, workload_name: str) -> TaskDataset:
+        """The whole (task, workload) dataset: memo, then cache, then build."""
         key = (task, workload_name)
         if key not in self._datasets:
-            cached = self._dataset_from_disk(task, workload_name)
-            if cached is not None:
-                self._datasets[key] = cached
-            else:
-                self._datasets[key] = build_dataset(
+            disk_key = self._dataset_disk_key(task, workload_name)
+            dataset = self.cache.get_dataset(disk_key) if self.cache else None
+            if dataset is None:
+                dataset = build_dataset(
                     task,
                     self.workload(workload_name),
                     seed=self.config.seed,
                     max_instances=self.config.max_instances,
                 )
-                self._dataset_to_disk(task, workload_name, self._datasets[key])
+                if self.cache is not None:
+                    self.cache.put_dataset(disk_key, dataset)
+            self._datasets[key] = dataset
         return self._datasets[key]
 
     def _dataset_disk_key(self, task: str, workload_name: str) -> str:
@@ -282,20 +264,36 @@ class ExperimentEngine:
             task, workload_name, self.config.seed, self.config.max_instances
         )
 
-    def _dataset_from_disk(
-        self, task: str, workload_name: str
-    ) -> Optional[TaskDataset]:
-        if self.cache is None:
-            return None
-        return self.cache.get_dataset(self._dataset_disk_key(task, workload_name))
+    def _workload_disk_key(self, workload_name: str) -> str:
+        return workload_key(workload_name, self.config.seed)
 
-    def _dataset_to_disk(
-        self, task: str, workload_name: str, dataset: TaskDataset
-    ) -> None:
-        if self.cache is not None:
-            self.cache.put_dataset(
-                self._dataset_disk_key(task, workload_name), dataset
-            )
+    def _cell_key(
+        self,
+        profile: ModelProfile,
+        task: str,
+        workload_name: str,
+        prompt: Optional[PromptTemplate],
+    ) -> str:
+        return cell_key(
+            self.config.seed,
+            profile,
+            task,
+            workload_name,
+            self.config.max_instances,
+            prompt,
+            backend=self.config.backend,
+            backend_state=self._backend_state(),
+        )
+
+    def _spill_store(self) -> ResultCache:
+        """The private dataset-segment store of a run without a cache.
+
+        Removed by :meth:`close`, or when the engine is collected.
+        """
+        if self._spill is None:
+            self._spill_dir = tempfile.TemporaryDirectory(prefix="repro-spill-")
+            self._spill = ResultCache(Path(self._spill_dir.name))
+        return self._spill
 
     def client(self, model_name: str) -> SimulatedLLM:
         """Direct simulator access (ablation harnesses; not the grid path)."""
@@ -350,9 +348,9 @@ class ExperimentEngine:
     def _checkpoint(self) -> None:
         """Raise :class:`RunInterrupted` if a graceful drain was requested.
 
-        Called between cells (materialised path) and between chunks
-        (streaming path) — the points where everything already served
-        is durable and nothing is half-written.
+        Called before each cell and between chunks — the points where
+        everything already committed is durable and nothing uncommitted
+        is visible.
         """
         if self.interrupt is not None:
             self.interrupt.check()
@@ -370,15 +368,11 @@ class ExperimentEngine:
                 cell_descriptor(model, task, workload), state, failure=failure
             )
 
-    def _after_cell_commit(self) -> None:
-        if self.on_cell_commit is not None:
-            self.on_cell_commit()
-
     def _is_cell_error(self, error: BaseException) -> bool:
         """Errors the ``on_cell_error`` policy may absorb.
 
         Backend failures (retry exhaustion, open circuits, deadlines)
-        and streaming failures (worker crashes, poisoned chunks) poison
+        and work-queue failures (worker crashes, poisoned chunks) poison
         *one cell*; anything else — including
         :class:`~repro.lifecycle.RunInterrupted` — is about the run and
         always propagates.
@@ -405,7 +399,7 @@ class ExperimentEngine:
         return True
 
     def _serial_breaker(self) -> Optional[CircuitBreaker]:
-        """The serial path's circuit breaker (shared health across cells)."""
+        """The in-process circuit breaker (shared health across cells)."""
         threshold = self.config.resolved_breaker_threshold()
         if threshold is None:
             return None
@@ -419,17 +413,9 @@ class ExperimentEngine:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=init_worker_process,
-            )
-        return self._pool
-
     @property
     def streaming(self) -> "StreamingEvaluator":
-        """The streamed data path (active when ``chunk_size`` is set)."""
+        """The scheduler every cell goes through."""
         if self._streaming is None:
             # Imported lazily: streaming pulls in evalfw.accumulate,
             # whose package __init__ imports evalfw.runner -> this module.
@@ -439,8 +425,8 @@ class ExperimentEngine:
         return self._streaming
 
     def stream_stats(self) -> Optional[dict]:
-        """Chunking provenance for the reporting layer (None if unused)."""
-        if self._streaming is None:
+        """Chunking provenance for the reporting layer (None if unchunked)."""
+        if self._streaming is None or self.config.chunk_size is None:
             return None
         return self._streaming.stats.as_dict()
 
@@ -450,9 +436,9 @@ class ExperimentEngine:
         # the run record; only its worker pool is torn down.
         if self._streaming is not None:
             self._streaming.close()
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self._spill_dir is not None:
+            self._spill_dir.cleanup()
+            self._spill_dir = self._spill = None
         for backend in self._backends.values():
             closer = getattr(backend, "close", None)
             if closer is not None:
@@ -474,7 +460,7 @@ class ExperimentEngine:
         workload_name: str,
         prompt: Optional[PromptTemplate] = None,
     ) -> "CellResult":
-        """Evaluate one cell (through the cache and the pool)."""
+        """Evaluate one cell (through the cache and the work queue)."""
         grid = self._evaluate_cells(
             [(self.profile(model_name), task, workload_name)], prompt
         )
@@ -488,8 +474,8 @@ class ExperimentEngine:
     ) -> dict[tuple[str, str], "CellResult"]:
         """Evaluate all models on all of a task's workloads.
 
-        All pending shards of all cells are in flight at once, so worker
-        utilisation does not dip at cell boundaries.
+        Chunks of the next cells are in flight while a cell finishes, so
+        worker utilisation does not dip at cell boundaries.
         """
         names = workloads or TASK_WORKLOADS[task]
         cells = [
@@ -504,226 +490,45 @@ class ExperimentEngine:
         cells: Sequence[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
     ) -> dict[tuple[str, str], "CellResult"]:
-        # Imported lazily: evalfw.runner imports this module at top level.
-        from repro.evalfw.runner import CellResult
+        """Serve cells through the scheduler; the grid is in request order.
 
-        if self.config.chunk_size is not None:
-            return self._evaluate_cells_streamed(cells, prompt)
-        grid: dict[tuple[str, str], "CellResult"] = {}
-        pending: list[tuple[ModelProfile, str, str, TaskDataset, Optional[str]]] = []
-        if self.config.workers > 1:
-            self._prefetch_datasets({(task, workload) for _, task, workload in cells})
-        for profile, task, workload_name in cells:
-            self._checkpoint()
-            dataset = self.dataset(task, workload_name)
-            key: Optional[str] = None
-            if self.cache is not None:
-                key = cell_key(
-                    self.config.seed,
-                    profile,
-                    task,
-                    workload_name,
-                    self.config.max_instances,
-                    prompt,
-                    backend=self.config.backend,
-                    backend_state=self._backend_state(),
-                )
-                # A recording run's purpose is its side effect (writing
-                # fixtures through the inner backend), so cached cells
-                # must not elide it — and its cache entries would be
-                # unreadable anyway (no later run shares the
-                # mode=record fingerprint), so it skips the cache in
-                # both directions.
-                answers = (
-                    None
-                    if self._backend_is_recording()
-                    else self.cache.get(key, expected_ids=dataset.instance_ids())
-                )
-                if answers is not None:
-                    self.cached_cells += 1
-                    result = CellResult(
-                        model=profile.name,
-                        task=task,
-                        workload=workload_name,
-                        dataset=dataset,
-                        answers=answers,
-                    )
-                    grid[(profile.name, workload_name)] = result
-                    self._record_cell(result, cached=True, seconds=0.0, prompt=prompt)
-                    self._journal_cell(
-                        profile.name, task, workload_name, CELL_COMMITTED
-                    )
-                    self._after_cell_commit()
-                    continue
-            self._journal_cell(profile.name, task, workload_name, CELL_PENDING)
-            pending.append((profile, task, workload_name, dataset, key))
-
-        if not pending:
-            return grid
-        if self.config.workers == 1:
-            for entry in pending:
-                profile, task, workload_name, dataset, key = entry
-                self._checkpoint()
-                self._journal_cell(
-                    profile.name, task, workload_name, CELL_IN_FLIGHT
-                )
-                started = time.perf_counter()
-                try:
-                    answers = self._evaluate_serial(profile, task, dataset, prompt)
-                except Exception as error:
-                    if not self._is_cell_error(error) or not self._absorb_cell_error(
-                        profile.name, task, workload_name, error
-                    ):
-                        raise
-                    continue
-                seconds = round(time.perf_counter() - started, 6)
-                self._commit_cell(grid, entry, answers, seconds, None, prompt)
-        else:
-            # Parallel cells overlap in wall time, so per-cell time
-            # comes from the workers' own clocks: the sum of a cell's
-            # shard times is its compute cost, the max its critical path.
-            futures = self._submit_parallel(pending, prompt)
-            for entry, cell_futures in zip(pending, futures):
-                profile, task, workload_name, dataset, key = entry
-                self._checkpoint()
-                try:
-                    parts = [future.result() for future in cell_futures]
-                except Exception as error:
-                    if not self._is_cell_error(error) or not self._absorb_cell_error(
-                        profile.name, task, workload_name, error
-                    ):
-                        raise
-                    continue
-                answers = merge_shards(
-                    (index, items) for index, items, _ in parts
-                )
-                shard_seconds = [seconds for _, _, seconds in parts]
-                seconds = round(sum(shard_seconds), 6)
-                max_shard = (
-                    round(max(shard_seconds), 6) if shard_seconds else 0.0
-                )
-                self._commit_cell(grid, entry, answers, seconds, max_shard, prompt)
-        # Cached cells land in ``grid`` during the first pass and
-        # computed ones only after, so on a mixed hit/miss run the
-        # dict's insertion order — which report renderers read as
-        # column order — would depend on cache state.  Re-key in
-        # request order so partially-cached reruns are byte-identical
-        # to cold ones (absorbed degraded cells stay absent).
-        return {
-            (profile.name, workload_name): grid[(profile.name, workload_name)]
-            for profile, _, workload_name in cells
-            if (profile.name, workload_name) in grid
-        }
-
-    def _commit_cell(
-        self,
-        grid: dict,
-        entry: tuple[ModelProfile, str, str, TaskDataset, Optional[str]],
-        answers: list[ModelAnswer],
-        seconds: Optional[float],
-        max_shard: Optional[float],
-        prompt: Optional[PromptTemplate],
-    ) -> None:
-        """Persist and record one computed cell (cache, log, journal)."""
-        from repro.evalfw.runner import CellResult
-
-        profile, task, workload_name, dataset, key = entry
-        self.computed_cells += 1
-        if (
-            self.cache is not None
-            and key is not None
-            and not self._backend_is_recording()
-        ):
-            self.cache.put(
-                key,
-                answers,
-                meta={
-                    "model": profile.name,
-                    "task": task,
-                    "workload": workload_name,
-                    "seed": self.config.seed,
-                    "max_instances": self.config.max_instances,
-                },
-            )
-        result = CellResult(
-            model=profile.name,
-            task=task,
-            workload=workload_name,
-            dataset=dataset,
-            answers=answers,
-        )
-        grid[(profile.name, workload_name)] = result
-        self._record_cell(
-            result,
-            cached=False,
-            seconds=seconds,
-            prompt=prompt,
-            shard_seconds_max=max_shard,
-        )
-        self._journal_cell(profile.name, task, workload_name, CELL_COMMITTED)
-        self._after_cell_commit()
-
-    def _evaluate_cells_streamed(
-        self,
-        cells: Sequence[tuple[ModelProfile, str, str]],
-        prompt: Optional[PromptTemplate],
-    ) -> dict[tuple[str, str], "CellResult"]:
-        """The chunked data path: cells stream through the work queue.
-
-        Each cell's instances are produced, evaluated, merged and
-        persisted in ``chunk_size``-sized segments; the grid result is a
-        :class:`~repro.evalfw.accumulate.StreamedCellResult`, which
-        quacks like a CellResult for every metrics consumer but holds
-        counts instead of the data.
+        Absorbed failed cells (``on_cell_error=skip|degrade``) are absent.
         """
+        if self.config.workers > 1 and self.config.chunk_size is None:
+            self._prefetch_datasets({(task, workload) for _, task, workload in cells})
         grid: dict[tuple[str, str], "CellResult"] = {}
-        for profile, task, workload_name in cells:
-            self._checkpoint()
-            self._journal_cell(profile.name, task, workload_name, CELL_IN_FLIGHT)
-            try:
-                result, cached, seconds = self.streaming.evaluate_cell(
-                    profile, task, workload_name, prompt
-                )
-            except Exception as error:
-                if not self._is_cell_error(error) or not self._absorb_cell_error(
-                    profile.name, task, workload_name, error
-                ):
-                    raise
-                continue
-            if cached:
+
+        def commit(cell: "_Cell") -> None:
+            if cell.cached:
                 self.cached_cells += 1
             else:
                 self.computed_cells += 1
-            grid[(profile.name, workload_name)] = result
-            self._record_cell(result, cached=cached, seconds=seconds, prompt=prompt)
-            self._journal_cell(profile.name, task, workload_name, CELL_COMMITTED)
-            self._after_cell_commit()
-        return grid
-
-    def _record_cell(
-        self,
-        result: "CellResult",
-        cached: bool,
-        seconds: Optional[float],
-        prompt: Optional[PromptTemplate] = None,
-        shard_seconds_max: Optional[float] = None,
-    ) -> None:
-        """Accumulate a served cell for the reporting layer."""
-        from repro.evalfw.accumulate import result_instance_count
-
-        self.results[(result.model, result.task, result.workload)] = result
-        self.cell_log.append(
-            CellLog(
-                model=result.model,
-                task=result.task,
-                workload=result.workload,
-                instances=result_instance_count(result),
-                cached=cached,
-                seconds=seconds,
-                prompt=prompt_fingerprint(result.task, prompt),
-                shard_seconds_max=shard_seconds_max,
+            grid[(cell.profile.name, cell.workload)] = cell.result
+            # Every served cell and its provenance, for the reporting layer.
+            self.results[(cell.profile.name, cell.task, cell.workload)] = cell.result
+            self.cell_log.append(
+                CellLog(
+                    model=cell.profile.name,
+                    task=cell.task,
+                    workload=cell.workload,
+                    instances=cell.result.instance_count,
+                    cached=cell.cached,
+                    seconds=0.0 if cell.cached else round(cell.seconds, 6),
+                    prompt=prompt_fingerprint(cell.task, prompt),
+                )
             )
-        )
+            self._journal_cell(cell.profile.name, cell.task, cell.workload, CELL_COMMITTED)
+            if self.on_cell_commit is not None:
+                self.on_cell_commit()
+
+        def failed(cell: "_Cell") -> None:
+            if not self._is_cell_error(cell.error) or not self._absorb_cell_error(
+                cell.profile.name, cell.task, cell.workload, cell.error
+            ):
+                raise cell.error
+
+        self.streaming.evaluate(list(cells), prompt, commit, failed)
+        return grid
 
     def _prefetch_datasets(self, needed: set[tuple[str, str]]) -> None:
         """Materialise missing datasets: disk cache first, then workers.
@@ -736,180 +541,82 @@ class ExperimentEngine:
         """
         missing = []
         for key in sorted(key for key in needed if key not in self._datasets):
-            cached = self._dataset_from_disk(*key)
+            cached = (
+                self.cache.get_dataset(self._dataset_disk_key(*key))
+                if self.cache
+                else None
+            )
             if cached is not None:
                 self._datasets[key] = cached
             else:
                 missing.append(key)
         if not missing:
             return
-        pool = self._executor()
-        cache_root = (
-            str(self.config.cache_dir) if self.cache is not None else None
-        )
-        # One future per *workload*, building all of its missing
+        # One work item per *workload*, building all of its missing
         # datasets: the worker loads the workload once and its analysis
         # cache is shared across the workload's tasks (which reuse the
-        # same query texts).  One future per dataset would instead have
-        # every worker re-load and re-parse the same workload.
+        # same query texts).  One item per dataset would instead have
+        # every worker re-load and re-parse the same workload.  With a
+        # cache the building worker also persists what it built.
         by_workload: dict[str, list[str]] = {}
         for task, workload_name in missing:
             by_workload.setdefault(workload_name, []).append(task)
-        futures = {
-            workload_name: pool.submit(
-                build_workload_datasets_remote,
-                workload_name,
-                self.config.seed,
-                tuple(
-                    (
-                        task,
-                        self._dataset_disk_key(task, workload_name)
-                        if cache_root
-                        else None,
-                    )
+        items = [
+            DatasetTask(
+                chunk=index,
+                workload=workload_name,
+                seed=self.config.seed,
+                tasks=tuple(
+                    (task, self._dataset_disk_key(task, workload_name))
                     for task in tasks
                 ),
-                self.config.max_instances,
-                cache_root,
-                workload_key(workload_name, self.config.seed)
-                if cache_root
-                else None,
+                max_instances=self.config.max_instances,
+                cache_root=str(self.config.cache_dir) if self.cache else None,
+                workload_cache_key=self._workload_disk_key(workload_name),
             )
-            for workload_name, tasks in by_workload.items()
-        }
-        for workload_name, future in futures.items():
-            for task, dataset in zip(by_workload[workload_name], future.result()):
-                self._datasets[(task, workload_name)] = dataset
-                if cache_root is None:
-                    # With a cache the building worker persisted it.
-                    self._dataset_to_disk(task, workload_name, dataset)
+            for index, (workload_name, tasks) in enumerate(by_workload.items())
+        ]
+
+        def built(item: DatasetTask, datasets: list[TaskDataset]) -> None:
+            for (task, _), dataset in zip(item.tasks, datasets):
+                self._datasets[(task, item.workload)] = dataset
+
+        def failed(item: DatasetTask, error: BaseException) -> None:
+            raise error
+
+        # One build per worker at a time: builds are long and uneven, so
+        # an idle worker must be able to take the next one.
+        self.streaming._run_pool(iter(items), built, failed, prefetch=1)
 
     def _evaluate_serial(
         self,
         profile: ModelProfile,
         task: str,
-        dataset: TaskDataset,
+        instances: Sequence,
         prompt: Optional[PromptTemplate],
+        deadline: Optional[float] = None,
     ) -> list[ModelAnswer]:
-        """In-process fallback: same shard plan, batched per shard.
+        """Answer one chunk in-process: the twin of ``evaluate_shard``.
 
-        Each shard's requests go through the async dispatcher as one
+        The chunk's requests go through the async dispatcher as one
         batch (bounded concurrency, rate limiting, retries) instead of
         one blocking call at a time — with the simulated backend the
         answers are byte-identical either way, and with an HTTP backend
-        the shard's requests overlap on the wire.
+        the chunk's requests overlap on the wire.  The token bucket and
+        the breaker's health carry over from chunk to chunk.
         """
-        backend = self.backend_for(profile.name)
         dispatcher = AsyncDispatcher(
-            backend,
+            self.backend_for(profile.name),
             max_concurrency=self.config.max_concurrency,
             rps=self.config.rps,
             bucket_state=self._bucket_state,
             request_timeout=self.config.request_timeout,
             breaker=self._serial_breaker(),
         )
-        cell_started = time.monotonic()
-        parts: list[tuple[int, list[ModelAnswer]]] = []
-        for shard in plan_shards(len(dataset.instances), self.config.shard_size):
-            instances = shard.slice(dataset.instances)
-            remaining: Optional[float] = None
-            if self.config.cell_deadline is not None:
-                remaining = self.config.cell_deadline - (
-                    time.monotonic() - cell_started
-                )
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"cell deadline of {self.config.cell_deadline}s "
-                        f"exceeded before shard {shard.index} "
-                        f"({profile.name}/{task})"
-                    )
-            responses = dispatcher.run_sync(
-                [
-                    build_request(task, profile.name, instance, prompt)
-                    for instance in instances
-                ],
-                deadline_seconds=remaining,
-            )
-            parts.append(
-                (
-                    shard.index,
-                    answers_from_responses(task, instances, responses, profile.name),
-                )
-            )
+        responses = dispatcher.run_sync(
+            [build_request(task, profile.name, instance, prompt) for instance in instances],
+            deadline_seconds=deadline,
+        )
         if self.config.rps is not None:
             self._bucket_state = dispatcher.bucket_state
-        return merge_shards(parts)
-
-    def _submit_parallel(
-        self,
-        pending: Sequence[tuple[ModelProfile, str, str, TaskDataset, Optional[str]]],
-        prompt: Optional[PromptTemplate],
-    ) -> list[list[Future]]:
-        """Fan every shard of every pending cell across the pool at once.
-
-        With a cache directory configured, dispatch is zero-copy: a
-        shard names its dataset by cache key plus a ``[start, stop)``
-        range, and workers materialize the dataset once per process from
-        disk (or rebuild it deterministically) — IPC cost per shard does
-        not scale with instance payload size.  Without a cache the shard
-        carries its instance slice inline, as before.
-
-        Returns one future list per pending cell; the caller collects
-        them cell by cell so the ``on_cell_error`` policy and interrupt
-        checkpoints apply per cell.
-        """
-        pool = self._executor()
-        cache_root = (
-            str(self.config.cache_dir) if self.cache is not None else None
-        )
-        futures: list[list[Future]] = []
-        for profile, task, workload_name, dataset, _ in pending:
-            self._journal_cell(profile.name, task, workload_name, CELL_IN_FLIGHT)
-            shards: list[Shard] = plan_shards(
-                len(dataset.instances), self.config.shard_size
-            )
-            zero_copy = cache_root is not None
-            futures.append(
-                [
-                    pool.submit(
-                        evaluate_shard,
-                        ShardSpec(
-                            profile=profile,
-                            task=task,
-                            workload=workload_name,
-                            index=shard.index,
-                            start=shard.start,
-                            stop=shard.stop,
-                            seed=self.config.seed,
-                            max_instances=self.config.max_instances,
-                            dataset_key=(
-                                self._dataset_disk_key(task, workload_name)
-                                if zero_copy
-                                else None
-                            ),
-                            workload_cache_key=(
-                                workload_key(workload_name, self.config.seed)
-                                if zero_copy
-                                else None
-                            ),
-                            cache_root=cache_root,
-                            instances=(
-                                None
-                                if zero_copy
-                                else tuple(shard.slice(dataset.instances))
-                            ),
-                            prompt=prompt,
-                            backend=self.config.backend,
-                            max_concurrency=self.config.max_concurrency,
-                            rps=self.config.rps,
-                            request_timeout=self.config.request_timeout,
-                            deadline=self.config.cell_deadline,
-                            breaker_threshold=(
-                                self.config.resolved_breaker_threshold() or 0
-                            ),
-                        ),
-                    )
-                    for shard in shards
-                ]
-            )
-        return futures
+        return answers_from_responses(task, instances, responses, profile.name)

@@ -1,71 +1,96 @@
-"""Streaming work-queue evaluation: bounded memory at any instance count.
+"""The engine's scheduler: every cell is evaluated chunk by chunk.
 
-This is the engine's second data path, active when
-``EngineConfig.chunk_size`` is set.  Instead of materialising a cell's
-dataset and fanning static shards across a ``ProcessPoolExecutor``, the
-cell flows through fixed-size chunks end to end:
+A grid request is a list of cells in request order.  Each cell is
+served from the cell cache or computed; a computed cell is cut into
+chunks, each chunk is answered by
+:func:`repro.engine.worker.evaluate_shard` (or, at ``workers=1``, by
+its in-process twin :meth:`ExperimentEngine._evaluate_serial`), and the
+answers are merged back in chunk order.  Cells commit one at a time in
+request order, whatever order their chunks finish in.
 
-* **produce** — task instances come from the same lazy generators the
-  materialised builders drain (:mod:`repro.tasks.streaming`), re-chunked
-  from the segmented dataset cache on warm runs;
-* **evaluate** — chunks are dispatched to a pool of queue workers
-  (:func:`repro.engine.worker.stream_worker_main`).  Dispatch is
-  pull-based with bounded in-flight work: a worker holds at most
-  ``PREFETCH`` pending chunks, so total in-flight state (and therefore
-  parent memory) is capped at ``workers x PREFETCH`` chunks regardless
-  of dataset size — that bound IS the backpressure, because the chunk
-  producer only advances when a slot frees up;
-* **merge** — results are reordered into chunk order and folded into a
-  :class:`~repro.evalfw.accumulate.CellAccumulator`; the chunk's
-  instances and answers are dropped immediately after.  Metrics come
-  out byte-identical to the materialised path because both share the
-  count-based constructors in :mod:`repro.evalfw.metrics`;
-* **persist** — answers land in the segmented cell cache as they merge
-  (atomic temp+rename per segment), with the manifest written only
-  after the last chunk: a failed or killed run leaves no visible entry.
+Whether the run is chunked (``EngineConfig.chunk_size`` set, which
+:func:`repro.execution.resolve_chunk_size` does for large synthetic
+workloads) decides two things:
+
+* **what the cell keeps** — without a chunk size the cell's dataset is
+  built whole (:meth:`ExperimentEngine.dataset`) and the cell keeps
+  every answer, a :class:`~repro.evalfw.runner.CellResult`, which the
+  per-instance artifacts need.  Chunked, instances stream from the task
+  generators (or the cached dataset segments) ``chunk_size`` at a time
+  and the cell keeps counts only, a
+  :class:`~repro.evalfw.accumulate.StreamedCellResult`, so memory is
+  bounded by the chunk size;
+* **what a chunk carries** — chunked, its instances inline.  Without a
+  chunk size, chunks are ``MATERIALISED_CHUNK`` instances, and with a
+  cache and several workers they name a dataset slice the worker loads
+  itself; the datasets were built in the workers beforehand, one work
+  item per workload.
+
+Either way each (task, workload) dataset is generated once per engine:
+a chunked dataset's chunks are stored as segments — in the cache, else
+in a private spill directory when another cell of the request will
+read them.
+
+Scheduling: with ``workers > 1`` work items go to a pool of queue
+workers (:func:`repro.engine.worker.stream_worker_main`).  Dispatch is
+pull-based with bounded in-flight work: a worker holds at most
+``PREFETCH`` pending items, and the producer only advances when a slot
+frees up — that bound IS the backpressure that keeps parent memory
+flat.  The producer runs across cell boundaries, so the next cells'
+chunks are in flight while the current cell finishes.
 
 Fault model: a worker that dies mid-chunk is detected via its exit
 code; its assigned chunks are re-dispatched to a fresh worker up to
-``MAX_ATTEMPTS`` times, after which the run fails loudly with
-:class:`StreamWorkerCrash`.  A worker that *reports* an exception
-(poisoned chunk) fails the run immediately with
-:class:`StreamChunkError` after draining in-flight chunks.  Either way
-the failed cell's cache segments are discarded — no partial writes.
+``MAX_ATTEMPTS`` times, after which the chunk's cell fails with
+:class:`StreamWorkerCrash`.  A worker that *reports* an exception fails
+the chunk's cell with :class:`StreamChunkError` (or with the backend
+error itself).  A failed cell's cache segments are discarded — no
+partial writes — and the engine's ``on_cell_error`` policy decides
+whether the grid goes on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import queue as queue_module
 import time
-from collections import deque
+import weakref
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-from repro.engine.cache import CacheSegmentError, cell_key
-from repro.engine.worker import ChunkTask, ShardSpec, evaluate_shard, stream_worker_main
-from repro.evalfw.accumulate import CellAccumulator, StreamedCellResult
+from repro.engine.cache import CacheSegmentError
+from repro.engine.worker import ChunkTask, ShardSpec, stream_worker_main
+from repro.llm.backends import DeadlineExceededError
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
+from repro.tasks.base import TaskDataset
 from repro.tasks.streaming import iter_instance_chunks
 from repro.workloads.streaming import stream_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExperimentEngine
+    from repro.evalfw.accumulate import CellAccumulator
 
-#: Pending chunks a queue worker may hold (1 running + 1 prefetched).
+#: Pending work items a queue worker may hold (1 running + 1 prefetched).
 PREFETCH = 2
 
-#: Total dispatch attempts per chunk before the run fails loudly.
+#: Total dispatch attempts per chunk before its cell fails.
 MAX_ATTEMPTS = 3
 
 #: Seconds between liveness checks while waiting for results.
 POLL_SECONDS = 0.1
 
+#: Instances per chunk when the run is not chunked: small enough that a
+#: paper-workload cell (a few hundred instances) spreads across all
+#: workers, large enough that per-chunk dispatch overhead stays small.
+MATERIALISED_CHUNK = 64
+
 
 class StreamError(RuntimeError):
-    """Base class for streaming-engine failures."""
+    """Base class for work-queue failures."""
 
 
 class StreamChunkError(StreamError):
@@ -94,7 +119,7 @@ class StreamFault:
 
 @dataclass
 class StreamStats:
-    """Aggregate streaming provenance for one engine lifetime."""
+    """Aggregate chunking provenance for one engine lifetime."""
 
     cells: int = 0
     chunks: int = 0
@@ -123,14 +148,14 @@ class _QueueWorker:
             daemon=True,
         )
         self.process.start()
-        #: Dispatched-but-unfinished chunks, in dispatch order.
-        self.assigned: deque[ChunkTask] = deque()
+        #: Dispatched-but-unfinished items, in dispatch order.
+        self.assigned: deque = deque()
 
     @property
     def pid(self) -> int:
         return self.process.pid
 
-    def dispatch(self, item: ChunkTask) -> None:
+    def dispatch(self, item) -> None:
         self.assigned.append(item)
         self.task_queue.put(item)
 
@@ -178,6 +203,14 @@ class StreamPool:
     def live_workers(self) -> list[_QueueWorker]:
         return [w for w in self.workers.values() if not w.is_dead()]
 
+    def retire(self, pid: int, cell: int, chunk: int) -> None:
+        """Note a result; per-worker results arrive in dispatch order."""
+        worker = self.workers.get(pid)
+        if worker is not None and worker.assigned:
+            head = worker.assigned[0]
+            if (head.cell, head.chunk) == (cell, chunk):
+                worker.assigned.popleft()
+
     def close(self) -> None:
         """Graceful shutdown: poison pills, join, terminate stragglers."""
         for worker in list(self.workers.values()):
@@ -197,16 +230,56 @@ def _rechunk(segments: Iterator[list], chunk_size: int) -> Iterator[list]:
         yield chunk
 
 
+@dataclass
+class _Cell:
+    """Parent-side state of one requested cell while it is evaluated."""
+
+    ident: int
+    profile: ModelProfile
+    task: str
+    workload: str
+    #: The cell cache key; None when cells are not cached.
+    key: Optional[str] = None
+    #: Unchunked runs: the whole dataset, and the answers merged so far.
+    dataset: Optional[TaskDataset] = None
+    answers: list = field(default_factory=list)
+    #: Chunked runs: the metric counts, and the answer segments written.
+    acc: Optional["CellAccumulator"] = None
+    counts: list[int] = field(default_factory=list)
+    #: Instances of dispatched chunks, until merged; out-of-order answers.
+    held: dict[int, list] = field(default_factory=dict)
+    buffered: dict[int, list] = field(default_factory=dict)
+    next_merge: int = 0
+    produced: bool = False
+    #: Sum of the chunks' evaluation seconds.
+    seconds: float = 0.0
+    result: object = None
+    cached: bool = False
+    error: Optional[BaseException] = None
+
+    @property
+    def done(self) -> bool:
+        return self.cached or self.error is not None or (self.produced and not self.held)
+
+
 class StreamingEvaluator:
-    """Runs grid cells through the chunked work-queue data path."""
+    """Runs grid cells through chunks: in-process or on the work queue."""
 
     def __init__(self, engine: "ExperimentEngine") -> None:
-        self.engine = engine
+        # The engine owns this evaluator; a weak back-reference keeps the
+        # pair out of a reference cycle, so a finished engine and its
+        # datasets are freed as soon as the last caller drops the engine
+        # rather than at the next full garbage collection.
+        self._engine = weakref.ref(engine)
         self.stats = StreamStats()
         #: Test-only injected fault; cleared responsibility is the test's.
         self.fault: Optional[StreamFault] = None
         self._pool: Optional[StreamPool] = None
         self._cell_counter = 0
+
+    @property
+    def engine(self) -> "ExperimentEngine":
+        return self._engine()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -220,341 +293,425 @@ class StreamingEvaluator:
             self._pool.close()
             self._pool = None
 
-    # -- cell evaluation ---------------------------------------------------
+    # -- the grid ----------------------------------------------------------
 
-    def evaluate_cell(
+    def evaluate(
         self,
-        profile: ModelProfile,
-        task: str,
-        workload_name: str,
+        cells: list[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
-    ) -> tuple[StreamedCellResult, bool, float]:
-        """One streamed cell: ``(result, served_from_cache, seconds)``."""
-        engine = self.engine
-        key: Optional[str] = None
-        if engine.cache is not None and not engine._backend_is_recording():
-            key = cell_key(
-                engine.config.seed,
-                profile,
-                task,
-                workload_name,
-                engine.config.max_instances,
-                prompt,
-                backend=engine.config.backend,
-                backend_state=engine._backend_state(),
-            )
-            warm = self._serve_warm(profile, task, workload_name, key)
-            if warm is not None:
-                return warm, True, 0.0
-        started = time.perf_counter()
-        try:
-            result = self._evaluate_cold(profile, task, workload_name, prompt, key)
-        except CacheSegmentError:
-            # A dataset segment went bad mid-generation read: drop the
-            # entry and recompute from a clean generator pass.
-            if engine.cache is not None:
-                engine.cache.discard_segments(
-                    engine._dataset_disk_key(task, workload_name)
+        on_commit: Callable[["_Cell"], None],
+        on_error: Callable[["_Cell"], None],
+    ) -> None:
+        """Serve ``cells``, committing each in request order.
+
+        ``on_commit`` receives every served cell (``result`` set);
+        ``on_error`` every failed one (``error`` set) and either raises,
+        which ends the grid, or returns to go on with the next cell.
+        """
+        states = []
+        for profile, task, workload in cells:
+            self._cell_counter += 1
+            states.append(_Cell(self._cell_counter, profile, task, workload))
+        by_ident = {cell.ident: cell for cell in states}
+        readers = Counter((task, workload) for _, task, workload in cells)
+        committed = 0
+
+        def flush() -> None:
+            nonlocal committed
+            while committed < len(states) and states[committed].done:
+                cell = states[committed]
+                committed += 1
+                if cell.error is not None:
+                    self._discard(cell)
+                    on_error(cell)
+                else:
+                    self._finish(cell)
+                    on_commit(cell)
+
+        def produce() -> Iterator[ChunkTask]:
+            for cell in states:
+                readers[(cell.task, cell.workload)] -= 1
+                self.engine._checkpoint()
+                yield from self._open(
+                    cell, prompt, shared=readers[(cell.task, cell.workload)] > 0
                 )
-            result = self._evaluate_cold(profile, task, workload_name, prompt, key)
-        return result, False, round(time.perf_counter() - started, 6)
+                cell.produced = True
+                flush()
 
-    # -- warm path ---------------------------------------------------------
+        def on_done(item: ChunkTask, payload) -> None:
+            cell = by_ident[item.cell]
+            if cell.error is None:
+                answers, seconds = payload
+                cell.seconds += seconds
+                cell.buffered[item.chunk] = answers
+                while cell.next_merge in cell.buffered:
+                    index = cell.next_merge
+                    self._merge(
+                        cell, index, cell.held.pop(index), cell.buffered.pop(index)
+                    )
+                    cell.next_merge += 1
+            flush()
 
-    def _serve_warm(
+        def on_failed(item: ChunkTask, error: BaseException) -> None:
+            cell = by_ident[item.cell]
+            if cell.error is None:
+                cell.error = error
+            flush()
+
+        try:
+            if self.engine.config.workers == 1:
+                self._run_in_process(produce(), by_ident, on_done, on_failed)
+            else:
+                self._run_pool(produce(), on_done, on_failed)
+            flush()
+        except BaseException:
+            # No partial cache writes: a cell's manifest is written only
+            # when it commits, so uncommitted entries are invisible —
+            # drop their orphaned segments too.
+            for cell in states[committed:]:
+                self._discard(cell)
+            raise
+
+    # -- one cell ----------------------------------------------------------
+
+    def _open(
+        self, cell: _Cell, prompt: Optional[PromptTemplate], shared: bool
+    ) -> Iterator[ChunkTask]:
+        """Serve ``cell`` from the cache, or yield its chunk tasks."""
+        from repro.lifecycle import CELL_IN_FLIGHT
+
+        engine = self.engine
+        config = engine.config
+        if engine.cache is not None and not engine._backend_is_recording():
+            # A recording run's purpose is its side effect (writing
+            # fixtures through the inner backend), so cached cells must
+            # not elide it — and its entries would be unreadable anyway
+            # (no later run shares the mode=record fingerprint), so it
+            # skips the cell cache in both directions.
+            cell.key = engine._cell_key(cell.profile, cell.task, cell.workload, prompt)
+        chunked = config.chunk_size is not None
+        if not chunked:
+            cell.dataset = engine.dataset(cell.task, cell.workload)
+        if cell.key is not None and self._serve_warm(cell):
+            cell.cached = True
+            return
+        engine._journal_cell(cell.profile.name, cell.task, cell.workload, CELL_IN_FLIGHT)
+        if chunked:
+            from repro.evalfw.accumulate import CellAccumulator
+
+            cell.acc = CellAccumulator(
+                model=cell.profile.name, task=cell.task, workload=cell.workload
+            )
+            chunks = self._dataset_chunks(
+                cell.task, cell.workload, persist=engine.cache is not None or shared
+            )
+        else:
+            chunks = _rechunk(iter([cell.dataset.instances]), MATERIALISED_CHUNK)
+        # Naming a dataset slice needs a cache the workers can load it
+        # from; in-process evaluation always has the instances at hand.
+        by_slice = not chunked and engine.cache is not None and config.workers > 1
+        start = 0
+        for index, instances in enumerate(chunks):
+            if cell.error is not None:
+                return
+            cell.held[index] = instances
+            yield self._chunk_task(cell, index, start, instances, prompt, by_slice)
+            start += len(instances)
+
+    def _chunk_task(
         self,
-        profile: ModelProfile,
-        task: str,
-        workload_name: str,
-        key: str,
-    ) -> Optional[StreamedCellResult]:
-        """Serve a cell from committed answer segments, or None.
+        cell: _Cell,
+        index: int,
+        start: int,
+        instances: list,
+        prompt: Optional[PromptTemplate],
+        by_slice: bool,
+    ) -> ChunkTask:
+        engine = self.engine
+        config = engine.config
+        fault = None
+        if (
+            self.fault is not None
+            and self.fault.chunk == index
+            and (not self.fault.once or self.fault.fired == 0)
+        ):
+            fault = self.fault.kind
+            self.fault.fired += 1
+        return ChunkTask(
+            cell=cell.ident,
+            chunk=index,
+            fault=fault,
+            spec=ShardSpec(
+                profile=cell.profile,
+                task=cell.task,
+                workload=cell.workload,
+                index=index,
+                start=start,
+                stop=start + len(instances),
+                seed=config.seed,
+                max_instances=config.max_instances,
+                dataset_key=(
+                    engine._dataset_disk_key(cell.task, cell.workload)
+                    if by_slice
+                    else None
+                ),
+                workload_cache_key=(
+                    engine._workload_disk_key(cell.workload) if by_slice else None
+                ),
+                cache_root=str(config.cache_dir) if by_slice else None,
+                instances=None if by_slice else tuple(instances),
+                prompt=prompt,
+                backend=config.backend,
+                max_concurrency=config.max_concurrency,
+                rps=config.rps,
+                request_timeout=config.request_timeout,
+                deadline=config.cell_deadline,
+                breaker_threshold=config.resolved_breaker_threshold() or 0,
+            ),
+        )
 
-        Validation is id-for-id while streaming, the same alignment
-        guarantee the materialised cache gives: any mismatch, truncated
-        segment, or length drift aborts to a clean recompute.
+    def _merge(self, cell: _Cell, index: int, instances: list, answers: list) -> None:
+        """Fold one chunk's answers into its cell, in chunk order."""
+        if cell.acc is None:
+            cell.answers.extend(answers)
+            return
+        cell.acc.add_chunk(instances, answers)
+        if cell.key is not None:
+            self.engine.cache.put_cell_segment(cell.key, index, answers)
+            cell.counts.append(len(answers))
+
+    def _finish(self, cell: _Cell) -> None:
+        """Build a served cell's result; commit a computed one's cache entry."""
+        engine = self.engine
+        if cell.acc is not None:
+            cell.result = cell.acc.result()
+            self.stats.cells += 1
+            self.stats.chunks += cell.acc.chunks
+            self.stats.instances += cell.acc.instances
+        else:
+            from repro.evalfw.runner import CellResult
+
+            cell.result = CellResult(
+                model=cell.profile.name,
+                task=cell.task,
+                workload=cell.workload,
+                dataset=cell.dataset,
+                answers=cell.answers,
+            )
+        if cell.key is not None and not cell.cached:
+            meta = {
+                "model": cell.profile.name,
+                "task": cell.task,
+                "workload": cell.workload,
+                "seed": engine.config.seed,
+                "max_instances": engine.config.max_instances,
+            }
+            if cell.acc is None:
+                engine.cache.put(cell.key, cell.answers, meta=meta)
+            else:
+                engine.cache.commit_cell_segments(
+                    cell.key, engine.config.chunk_size, cell.counts, meta=meta
+                )
+
+    def _discard(self, cell: _Cell) -> None:
+        if cell.counts:
+            self.engine.cache.discard_segments(cell.key)
+
+    def _serve_warm(self, cell: _Cell) -> bool:
+        """Load the cell's committed answers into it; False on a miss.
+
+        Validation is id-for-id: any mismatch, truncated segment, or
+        length drift counts as a miss and the cell is recomputed.
         """
         cache = self.engine.cache
-        chunk_size = self.engine.config.chunk_size
-        manifest = cache.get_cell_manifest(key)
-        if manifest is not None:
-            answer_chunks = cache.iter_cell_segments(key)
-        else:
-            # A materialised run may have cached this cell monolithically;
-            # stream the answer list in chunks (answers are small — the
-            # instances, which dominate memory, stay streamed).
-            answers = cache.get(key)
-            if answers is None:
-                return None  # get() counted the miss
-            answer_chunks = iter(
-                [answers[i : i + chunk_size] for i in range(0, len(answers), chunk_size)]
-                or [[]]
-            )
-        acc = CellAccumulator(model=profile.name, task=task, workload=workload_name)
+        if cell.dataset is not None:
+            answers = cache.get(cell.key, expected_ids=cell.dataset.instance_ids())
+            cell.answers = answers or []
+            return answers is not None
+        from repro.evalfw.accumulate import CellAccumulator
+
+        acc = CellAccumulator(
+            model=cell.profile.name, task=cell.task, workload=cell.workload
+        )
         try:
-            instance_chunks, _ = self._instance_chunks(task, workload_name)
-            instance_iter = chain.from_iterable(instance_chunks)
-            for answers in answer_chunks:
+            instance_iter = chain.from_iterable(
+                self._dataset_chunks(cell.task, cell.workload, persist=True)
+            )
+            for answers in cache.iter_cell_segments(cell.key):
                 instances = list(islice(instance_iter, len(answers)))
                 if len(instances) != len(answers) or any(
-                    a.instance_id != i.instance_id
-                    for a, i in zip(answers, instances)
+                    a.instance_id != i.instance_id for a, i in zip(answers, instances)
                 ):
-                    if manifest is not None:
-                        cache.stats.misses += 1
-                    return None
+                    raise CacheSegmentError("answers do not align with the dataset")
                 acc.add_chunk(instances, answers)
             if next(instance_iter, None) is not None:
-                # The dataset has more instances than the entry answered.
-                if manifest is not None:
-                    cache.stats.misses += 1
-                return None
+                raise CacheSegmentError("the dataset has more instances than answers")
         except CacheSegmentError:
-            if manifest is not None:
-                cache.stats.misses += 1
-            return None
+            cache.stats.misses += 1
+            return False
+        cache.stats.hits += 1
+        cell.acc = acc
+        return True
+
+    # -- chunked instance production ---------------------------------------
+
+    def _dataset_chunks(self, task: str, workload: str, persist: bool) -> Iterator[list]:
+        """The (task, workload) dataset in ``chunk_size`` chunks.
+
+        Committed dataset segments are read back; otherwise the task
+        generators run, and with ``persist`` their chunks are stored as
+        segments for the next reader.  A segment that turns out
+        unreadable mid-read is dropped and the stream continues from a
+        fresh generator pass, skipping what was already served.
+        """
+        engine = self.engine
+        chunk_size = engine.config.chunk_size
+        dkey = engine._dataset_disk_key(task, workload)
+        store = engine.cache if engine.cache is not None else engine._spill
+        served = 0
+        manifest = store.get_dataset_manifest(dkey) if store is not None else None
         if manifest is not None:
-            cache.stats.hits += 1
-        self.stats.cells += 1
-        self.stats.chunks += acc.chunks
-        self.stats.instances += acc.instances
-        return acc.result(chunk_size)
+            store.stats.dataset_hits += 1
+            try:
+                segments = store.iter_dataset_segments(dkey, manifest)
+                for chunk in _rechunk(segments, chunk_size):
+                    served += len(chunk)
+                    yield chunk
+                return
+            except CacheSegmentError:
+                store.discard_segments(dkey)
+        elif store is not None:
+            store.stats.dataset_misses += 1
+        if persist and store is None:
+            store = engine._spill_store()
+        chunks = self._generate(task, workload, dkey, store if persist else None)
+        if served:
+            chunks = _rechunk(islice(chain.from_iterable(chunks), served, None), chunk_size)
+        yield from chunks
 
-    # -- instance production ----------------------------------------------
-
-    def _instance_chunks(
-        self, task: str, workload_name: str
-    ) -> tuple[Iterator[list], bool]:
-        """The cell's instance stream: ``(chunk iterator, from_cache)``.
-
-        Warm: committed dataset segments (re-chunked to the configured
-        chunk size), else a monolithic dataset entry.  Cold: the lazy
-        task-instance generators, persisting segments as they pass so
-        sibling cells (other models, warm reruns) stream from disk.
-        """
-        engine = self.engine
-        cache = engine.cache
-        chunk_size = engine.config.chunk_size
-        dkey = engine._dataset_disk_key(task, workload_name)
-        if cache is not None:
-            manifest = cache.get_dataset_manifest(dkey)
-            if manifest is not None:
-                cache.stats.dataset_hits += 1
-                return _rechunk(cache.iter_dataset_segments(dkey), chunk_size), True
-            dataset = cache.get_dataset(dkey)
-            if dataset is not None:
-                return _rechunk(iter([dataset.instances]), chunk_size), True
-
-        def generate() -> Iterator[list]:
-            source = stream_workload(workload_name, engine.config.seed)
-            counts: list[int] = []
-            for chunk in iter_instance_chunks(
-                task,
-                source,
-                seed=engine.config.seed,
-                chunk_size=chunk_size,
-                max_instances=engine.config.max_instances,
-            ):
-                if cache is not None:
-                    cache.put_dataset_segment(dkey, len(counts), chunk)
-                    counts.append(len(chunk))
-                yield chunk
-            if cache is not None:
-                cache.commit_dataset_segments(
-                    dkey,
-                    chunk_size,
-                    counts,
-                    meta={"task": task, "workload": workload_name},
-                )
-
-        if cache is not None:
-            cache.stats.dataset_misses += 1
-        return generate(), False
-
-    # -- cold path ---------------------------------------------------------
-
-    def _evaluate_cold(
-        self,
-        profile: ModelProfile,
-        task: str,
-        workload_name: str,
-        prompt: Optional[PromptTemplate],
-        key: Optional[str],
-    ) -> StreamedCellResult:
-        engine = self.engine
-        cache = engine.cache if key is not None else None
-        chunk_size = engine.config.chunk_size
-        self._cell_counter += 1
-        cell_no = self._cell_counter
-        acc = CellAccumulator(model=profile.name, task=task, workload=workload_name)
+    def _generate(self, task: str, workload: str, dkey: str, store) -> Iterator[list]:
+        """One generator pass; stores segments + manifest in ``store``."""
+        config = self.engine.config
         counts: list[int] = []
-
-        def make_task(chunk_index: int, instances: list) -> ChunkTask:
-            fault = None
-            if (
-                self.fault is not None
-                and self.fault.chunk == chunk_index
-                and (not self.fault.once or self.fault.fired == 0)
-            ):
-                fault = self.fault.kind
-                self.fault.fired += 1
-            return ChunkTask(
-                cell=cell_no,
-                chunk=chunk_index,
-                fault=fault,
-                spec=ShardSpec(
-                    profile=profile,
-                    task=task,
-                    workload=workload_name,
-                    index=chunk_index,
-                    start=0,
-                    stop=len(instances),
-                    seed=engine.config.seed,
-                    max_instances=engine.config.max_instances,
-                    instances=tuple(instances),
-                    prompt=prompt,
-                    backend=engine.config.backend,
-                    max_concurrency=engine.config.max_concurrency,
-                    rps=engine.config.rps,
-                    request_timeout=engine.config.request_timeout,
-                    deadline=engine.config.cell_deadline,
-                    breaker_threshold=(
-                        engine.config.resolved_breaker_threshold() or 0
-                    ),
-                ),
-            )
-
-        def on_merged(chunk_index: int, instances: list, answers: list) -> None:
-            acc.add_chunk(instances, answers)
-            if cache is not None:
-                cache.put_cell_segment(key, chunk_index, answers)
-                counts.append(len(answers))
-
-        instance_chunks, _ = self._instance_chunks(task, workload_name)
-        try:
-            if engine.config.workers == 1:
-                self._run_serial(instance_chunks, make_task, on_merged)
-            else:
-                self._run_queued(instance_chunks, make_task, on_merged)
-        except BaseException:
-            # No partial cache writes: the manifest was never written,
-            # so the entry is already invisible — drop the orphaned
-            # segments too.
-            if cache is not None:
-                cache.discard_segments(key)
-            raise
-        if cache is not None:
-            cache.commit_cell_segments(
-                key,
-                chunk_size,
+        for chunk in iter_instance_chunks(
+            task,
+            stream_workload(workload, config.seed),
+            seed=config.seed,
+            chunk_size=config.chunk_size,
+            max_instances=config.max_instances,
+        ):
+            if store is not None:
+                store.put_dataset_segment(dkey, len(counts), chunk)
+                counts.append(len(chunk))
+            yield chunk
+        if store is not None:
+            store.commit_dataset_segments(
+                dkey,
+                config.chunk_size,
                 counts,
-                meta={
-                    "model": profile.name,
-                    "task": task,
-                    "workload": workload_name,
-                    "seed": engine.config.seed,
-                    "max_instances": engine.config.max_instances,
-                },
+                meta={"task": task, "workload": workload},
             )
-        self.stats.cells += 1
-        self.stats.chunks += acc.chunks
-        self.stats.instances += acc.instances
-        return acc.result(chunk_size)
 
-    def _run_serial(self, instance_chunks, make_task, on_merged) -> None:
-        """In-process chunk loop (workers=1): no pool, same code path."""
-        for chunk_index, instances in enumerate(instance_chunks):
-            # Chunk boundaries are the streaming path's interrupt
-            # checkpoints: everything merged so far is in segments, and
-            # the BaseException handler in _evaluate_cold discards them
-            # — no partial cache entry ever becomes visible.
-            self.engine._checkpoint()
-            item = make_task(chunk_index, instances)
-            if item.fault == "crash":
-                raise StreamWorkerCrash(
-                    f"chunk {chunk_index} crashed its worker (serial mode)"
-                )
-            if item.fault == "poison":
-                raise StreamChunkError(
-                    f"chunk {chunk_index} failed: RuntimeError: injected poison fault"
-                )
-            _, answers, _ = evaluate_shard(item.spec)
-            on_merged(chunk_index, instances, answers)
-            self.stats.worker_pids.add(multiprocessing.current_process().pid)
+    # -- executors ---------------------------------------------------------
 
-    # -- work-queue scheduling ---------------------------------------------
+    def _run_in_process(self, items, by_ident, on_done, on_failed) -> None:
+        """The ``workers=1`` executor: each chunk answered in-process.
 
-    def _run_queued(self, instance_chunks, make_task, on_merged) -> None:
-        """Dispatch chunks to queue workers; merge results in order.
-
-        In-flight work is bounded at ``workers x PREFETCH`` chunks: the
-        producer (which holds each dispatched chunk's instances for the
-        merge) only advances when a worker slot frees up, which is the
-        backpressure that keeps parent memory flat.
+        Chunk boundaries are interrupt checkpoints.  The cell deadline
+        is spent cumulatively across the cell's chunks.
         """
-        pool = self._get_pool()
-        producer = enumerate(instance_chunks)
-        exhausted = False
-        inflight: dict[int, list] = {}  # chunk -> instances (for the merge)
-        attempts: dict[int, int] = {}
-        completed: set[int] = set()
-        buffered: dict[int, list] = {}  # chunk -> answers, out-of-order
-        next_merge = 0
-        pending_error: Optional[StreamError] = None
+        engine = self.engine
+        deadline = engine.config.cell_deadline
+        for item in items:
+            engine._checkpoint()
+            cell = by_ident[item.cell]
+            try:
+                if item.fault == "crash":
+                    raise StreamWorkerCrash(
+                        f"chunk {item.chunk} crashed its worker (in-process)"
+                    )
+                if item.fault == "poison":
+                    raise StreamChunkError(
+                        f"chunk {item.chunk} failed: RuntimeError: injected poison fault"
+                    )
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - cell.seconds
+                    if remaining <= 0:
+                        raise DeadlineExceededError(
+                            f"cell deadline of {deadline}s exceeded before chunk "
+                            f"{item.chunk} ({cell.profile.name}/{cell.task})"
+                        )
+                started = time.perf_counter()
+                spec = item.spec
+                answers = engine._evaluate_serial(
+                    spec.profile, spec.task, spec.instances, spec.prompt, remaining
+                )
+            except Exception as error:  # noqa: BLE001 - the cell-error policy decides
+                on_failed(item, error)
+                continue
+            self.stats.worker_pids.add(multiprocessing.current_process().pid)
+            on_done(item, (answers, time.perf_counter() - started))
 
-        def dispatch_capacity() -> list[_QueueWorker]:
-            return [
-                w
-                for w in pool.live_workers()
-                if len(w.assigned) < PREFETCH
-            ]
+    def _run_pool(
+        self, items: Iterator, on_done, on_failed, prefetch: int = PREFETCH
+    ) -> None:
+        """Dispatch work items to the queue workers until all are done.
+
+        In-flight work is bounded at ``workers x prefetch`` items: the
+        producer only advances when a worker slot frees up.  Results
+        reach ``on_done`` / ``on_failed`` in completion order, each item
+        exactly once.  The pool starts with the first item, so a run
+        served wholly from the cache never spawns a worker.
+        """
+        first = next(items, None)
+        if first is None:
+            return
+        items = chain([first], items)
+        pool = self._get_pool()
+        inflight: dict[tuple[int, int], object] = {}
+        attempts: dict[tuple[int, int], int] = {}
+        exhausted = False
 
         def top_up() -> None:
             nonlocal exhausted
             while not exhausted:
-                free = dispatch_capacity()
+                free = [w for w in pool.live_workers() if len(w.assigned) < prefetch]
                 if not free:
                     return
-                try:
-                    chunk_index, instances = next(producer)
-                except StopIteration:
+                item = next(items, None)
+                if item is None:
                     exhausted = True
                     return
-                item = make_task(chunk_index, instances)
-                inflight[chunk_index] = instances
-                attempts[chunk_index] = attempts.get(chunk_index, 0) + 1
+                inflight[(item.cell, item.chunk)] = item
+                attempts[(item.cell, item.chunk)] = 1
                 min(free, key=lambda w: len(w.assigned)).dispatch(item)
 
-        def handle_dead_workers() -> None:
-            nonlocal pending_error
+        def replace_dead_workers() -> None:
+            persistent = self.fault is not None and not self.fault.once
             for worker in [w for w in pool.workers.values() if w.is_dead()]:
                 orphaned = list(worker.assigned)
                 worker.assigned.clear()
                 replacement = pool.replace(worker)
                 for item in orphaned:
-                    if item.chunk in completed:
+                    ident = (item.cell, item.chunk)
+                    if ident not in inflight:
                         continue
-                    attempts[item.chunk] = attempts.get(item.chunk, 0) + 1
-                    if attempts[item.chunk] > MAX_ATTEMPTS:
-                        pending_error = StreamWorkerCrash(
-                            f"chunk {item.chunk} killed its worker "
-                            f"{MAX_ATTEMPTS} times; giving up"
+                    attempts[ident] += 1
+                    if attempts[ident] > MAX_ATTEMPTS:
+                        del inflight[ident]
+                        on_failed(
+                            item,
+                            StreamWorkerCrash(
+                                f"chunk {item.chunk} killed its worker "
+                                f"{MAX_ATTEMPTS} times; giving up"
+                            ),
                         )
-                        return
+                        continue
                     self.stats.redispatched += 1
-                    refault = None
-                    if (
-                        self.fault is not None
-                        and not self.fault.once
-                        and self.fault.chunk == item.chunk
-                    ):
-                        refault = self.fault.kind
                     replacement.dispatch(
-                        ChunkTask(
-                            cell=item.cell,
-                            chunk=item.chunk,
-                            spec=item.spec,
-                            fault=refault,
+                        dataclasses.replace(
+                            item, fault=item.fault if persistent else None
                         )
                     )
 
@@ -563,51 +720,40 @@ class StreamingEvaluator:
             while inflight or not exhausted:
                 # Interrupt checkpoint: raising here lands in the
                 # BaseException handler below, which drains the pool's
-                # in-flight chunks before the caller discards segments.
+                # in-flight items before the caller discards segments.
                 self.engine._checkpoint()
-                if pending_error is not None:
-                    raise pending_error
                 if not inflight:
+                    replace_dead_workers()
                     top_up()
-                    if not inflight and exhausted:
-                        break
                     continue
                 try:
-                    kind, pid, _cell, chunk, payload = pool.result_queue.get(
+                    kind, pid, cell, chunk, payload = pool.result_queue.get(
                         timeout=POLL_SECONDS
                     )
                 except queue_module.Empty:
-                    handle_dead_workers()
+                    replace_dead_workers()
                     continue
-                worker = pool.workers.get(pid)
-                if worker is not None and worker.assigned:
-                    # Per-worker results arrive in dispatch order.
-                    if worker.assigned[0].chunk == chunk:
-                        worker.assigned.popleft()
-                if kind == "error":
-                    raise StreamChunkError(f"chunk {chunk} failed: {payload}")
-                if chunk in completed:
-                    continue  # a re-dispatch raced a slow original
-                answers, _seconds = payload
-                completed.add(chunk)
-                self.stats.worker_pids.add(pid)
-                buffered[chunk] = answers
-                while next_merge in buffered:
-                    on_merged(
-                        next_merge, inflight.pop(next_merge), buffered.pop(next_merge)
-                    )
-                    next_merge += 1
+                pool.retire(pid, cell, chunk)
+                item = inflight.pop((cell, chunk), None)
+                if item is not None:  # else a re-dispatch raced a slow original
+                    self.stats.worker_pids.add(pid)
+                    if kind == "ok":
+                        on_done(item, payload)
+                    elif isinstance(payload, BaseException):
+                        on_failed(item, payload)
+                    else:
+                        on_failed(item, StreamChunkError(f"chunk {chunk} failed: {payload}"))
                 top_up()
         except BaseException:
             self._drain(pool)
             raise
 
     def _drain(self, pool: StreamPool, timeout: float = 10.0) -> None:
-        """Graceful shutdown of in-flight chunks after a failure.
+        """Graceful shutdown of in-flight items after a failure.
 
         Live workers finish (and we discard) what they already pulled,
         so they end at a clean queue boundary; then every worker gets
-        its poison pill and the pool is torn down.  The next cold cell
+        its poison pill and the pool is torn down.  The next pooled run
         starts a fresh pool.
         """
         deadline = time.monotonic() + timeout
@@ -615,7 +761,7 @@ class StreamingEvaluator:
             if time.monotonic() > deadline:
                 break
             try:
-                _kind, pid, _cell, chunk, _payload = pool.result_queue.get(
+                _kind, pid, cell, chunk, _payload = pool.result_queue.get(
                     timeout=POLL_SECONDS
                 )
             except queue_module.Empty:
@@ -623,9 +769,6 @@ class StreamingEvaluator:
                     if worker.is_dead():
                         worker.assigned.clear()
                 continue
-            worker = pool.workers.get(pid)
-            if worker is not None and worker.assigned:
-                if worker.assigned[0].chunk == chunk:
-                    worker.assigned.popleft()
+            pool.retire(pid, cell, chunk)
         pool.close()
         self._pool = None

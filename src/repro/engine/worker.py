@@ -1,26 +1,23 @@
-"""Worker-side functions for the engine's process pool.
+"""Worker-side functions for the engine's work queue.
 
-Two kinds of work cross the pool boundary:
+Two kinds of work cross the queue:
 
-* :func:`evaluate_shard` — answer one contiguous slice of a cell's
-  instances.  The shard travels as a :class:`ShardSpec` that names the
-  dataset by its on-disk cache key plus a ``[start, stop)`` range —
-  zero-copy dispatch: IPC cost is a few hundred bytes per shard no
-  matter how large the instance payloads are.  Workers materialize each
-  dataset once per process (memo first, then the dataset cache on disk,
-  then a deterministic rebuild), slice locally, and batch the slice's
-  requests through the async dispatcher to the spec's backend
-  (backends are memoised per process, so replay stores and HTTP pools
-  survive across shards).  When no cache directory is configured the
-  spec falls back to carrying the instances inline, which is the old
-  behaviour;
-* :func:`build_dataset_remote` — construct one dataset in a worker so
-  the parent can overlap dataset construction across (task, workload)
-  pairs.  ``build_dataset`` is deterministic in its arguments, so the
-  copy shipped back is identical to what the parent would build.  With
-  a cache directory the worker also persists the dataset (and the
-  workload it loaded) so sibling workers materialize from disk instead
-  of rebuilding.
+* :class:`ChunkTask` — answer one chunk of a cell through
+  :func:`evaluate_shard`.  The chunk travels as a :class:`ShardSpec`
+  that either carries its instances inline or names a dataset slice by
+  the dataset's cache key plus a ``[start, stop)`` range; the worker
+  then materializes the dataset once per process (memo first, then the
+  dataset cache on disk, then a deterministic rebuild) and slices it
+  locally.  The slice's requests are batched through the async
+  dispatcher to the spec's backend (backends are memoised per process,
+  so replay stores and HTTP pools survive across chunks);
+* :class:`DatasetTask` — build all of one workload's datasets in a
+  worker, so the parent overlaps dataset construction across
+  workloads.  ``build_dataset`` is deterministic in its arguments, so
+  the copies shipped back are identical to what the parent would
+  build.  With a cache directory the worker also persists the datasets
+  (and the workload it loaded) so sibling workers materialize from
+  disk instead of rebuilding.
 
 Everything crossing the boundary is plain picklable dataclasses, and
 every answer depends only on ``(model, task, instance_id)`` — which is
@@ -55,44 +52,29 @@ from repro.workloads.base import Workload
 _WORKLOADS: dict[tuple[str, int], Workload] = {}
 _DATASETS: dict[tuple[str, str, int, Optional[int]], TaskDataset] = {}
 _BACKENDS: dict[tuple[BackendSpec, str], tuple[ModelProfile, ModelBackend]] = {}
-#: Token-bucket fill levels, shared across this process's shard batches
+#: Token-bucket fill levels, shared across this process's chunk batches
 #: so ``rps`` is a sustained per-process rate (aggregate rate across a
 #: pool is ~``workers x rps``; size --rps accordingly).
 _BUCKET_STATES: dict[tuple[BackendSpec, float], BucketState] = {}
 #: Circuit-breaker health per backend, shared across this process's
-#: shard batches: a backend that tripped during one shard stays tripped
+#: chunk batches: a backend that tripped during one chunk stays tripped
 #: for the next instead of re-earning a full retry ladder.
 _BREAKER_STATES: dict[BackendSpec, BreakerState] = {}
-
-
-def init_worker_process() -> None:
-    """Pool-worker initializer: leave interrupt handling to the parent.
-
-    Ctrl-C delivers SIGINT to the whole foreground process group; the
-    parent turns it into a graceful drain (journal flush + resume hint),
-    so workers must not race it with their own ``KeyboardInterrupt``
-    tracebacks — they ignore SIGINT and exit when the parent tears the
-    pool down.
-    """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 @dataclass(frozen=True)
 class ShardSpec:
     """One contiguous slice of one cell, addressable anywhere.
 
-    ``instances`` is None in zero-copy mode (the worker materializes
-    the dataset from ``dataset_key`` under ``cache_root`` or rebuilds it
-    deterministically) and carries the actual slice in inline mode
-    (no cache directory configured).
+    ``instances`` carries the slice inline; when it is None the worker
+    materializes the dataset from ``dataset_key`` under ``cache_root``
+    (or rebuilds it deterministically) and slices ``[start, stop)``.
     """
 
     profile: ModelProfile
     task: str
     workload: str
-    index: int  # shard index, for merge ordering
+    index: int  # chunk index, for merge ordering
     start: int
     stop: int
     seed: int
@@ -108,14 +90,14 @@ class ShardSpec:
     #: Per-request wall-clock timeout (dispatcher ``asyncio.wait_for``).
     request_timeout: Optional[float] = None
     #: Wall-clock budget for this dispatch batch (the cell deadline,
-    #: granted per shard — worker clocks don't compare across processes).
+    #: granted per chunk — worker clocks don't compare across processes).
     deadline: Optional[float] = None
     #: Circuit-breaker trip threshold; 0 disables the breaker.
     breaker_threshold: int = 0
 
 
 def _backend(spec: BackendSpec, profile: ModelProfile) -> ModelBackend:
-    """Per-process backend memo (replay stores, HTTP pools survive shards)."""
+    """Per-process backend memo (replay stores, HTTP pools survive chunks)."""
     memo_key = (spec, profile.name)
     cached = _BACKENDS.get(memo_key)
     if cached is None or cached[0] != profile:
@@ -143,41 +125,50 @@ def _workload(name: str, seed: int, cache: Optional[ResultCache], key: Optional[
     return workload
 
 
-def _materialize_dataset(spec: ShardSpec) -> TaskDataset:
-    """The shard's dataset: process memo -> disk cache -> rebuild."""
-    memo_key = (spec.task, spec.workload, spec.seed, spec.max_instances)
+def _dataset(source, task: str, dataset_key: Optional[str]) -> TaskDataset:
+    """A dataset in this process: memo -> disk cache -> rebuild.
+
+    ``source`` (a :class:`ShardSpec` or :class:`DatasetTask`) names the
+    workload, seed, instance cap and cache.  A rebuilt dataset (and the
+    workload it was built from) is persisted when a cache is given, so
+    sibling workers load instead of rebuilding.
+    """
+    memo_key = (task, source.workload, source.seed, source.max_instances)
     dataset = _DATASETS.get(memo_key)
     if dataset is not None:
         return dataset
-    cache = ResultCache(Path(spec.cache_root)) if spec.cache_root else None
-    if cache is not None and spec.dataset_key is not None:
-        dataset = cache.get_dataset(spec.dataset_key)
+    cache = ResultCache(Path(source.cache_root)) if source.cache_root else None
+    if cache is not None and dataset_key is not None:
+        dataset = cache.get_dataset(dataset_key)
     if dataset is None:
-        workload = _workload(spec.workload, spec.seed, cache, spec.workload_cache_key)
-        dataset = build_dataset(
-            spec.task, workload, seed=spec.seed, max_instances=spec.max_instances
+        workload = _workload(
+            source.workload, source.seed, cache, source.workload_cache_key
         )
-        if cache is not None and spec.dataset_key is not None:
-            cache.put_dataset(spec.dataset_key, dataset)
+        dataset = build_dataset(
+            task, workload, seed=source.seed, max_instances=source.max_instances
+        )
+        if cache is not None and dataset_key is not None:
+            cache.put_dataset(dataset_key, dataset)
     _DATASETS[memo_key] = dataset
     return dataset
 
 
 def evaluate_shard(spec: ShardSpec) -> tuple[int, list[ModelAnswer], float]:
-    """Evaluate one shard; returns ``(shard_index, answers, seconds)``.
+    """Evaluate one chunk; returns ``(chunk_index, answers, seconds)``.
 
-    ``seconds`` is the shard's wall time inside the worker — the parent
+    ``seconds`` is the chunk's wall time inside the worker — the parent
     aggregates these into real per-cell compute time for provenance
     (parallel cells overlap, so the parent's own clock cannot attribute
     time to cells).  Answers come back in instance order within the
-    shard, so merging by shard index reproduces the serial evaluation
+    chunk, so merging by chunk index reproduces the serial evaluation
     exactly (each answer depends only on ``(model, task, instance_id)``).
     """
     started = time.perf_counter()
     if spec.instances is not None:
         instances = list(spec.instances)
     else:
-        instances = _materialize_dataset(spec).instances[spec.start : spec.stop]
+        dataset = _dataset(spec, spec.task, spec.dataset_key)
+        instances = dataset.instances[spec.start : spec.stop]
     backend = _backend(spec.backend, spec.profile)
     bucket_key = (spec.backend, spec.rps or 0.0)
     breaker = None
@@ -212,73 +203,15 @@ def evaluate_shard(spec: ShardSpec) -> tuple[int, list[ModelAnswer], float]:
     return spec.index, answers, time.perf_counter() - started
 
 
-def build_dataset_remote(
-    task: str,
-    workload: str,
-    seed: int,
-    max_instances: Optional[int],
-    cache_root: Optional[str] = None,
-    dataset_key: Optional[str] = None,
-    workload_cache_key: Optional[str] = None,
-) -> TaskDataset:
-    """Build one dataset inside a worker (workloads memoised per process).
-
-    With a cache configured the built dataset (and the workload) are
-    persisted so sibling workers and later shard evaluation materialize
-    from disk instead of rebuilding.
-    """
-    cache = ResultCache(Path(cache_root)) if cache_root else None
-    workload_obj = _workload(workload, seed, cache, workload_cache_key)
-    dataset = build_dataset(
-        task, workload_obj, seed=seed, max_instances=max_instances
-    )
-    if cache is not None and dataset_key is not None:
-        cache.put_dataset(dataset_key, dataset)
-    _DATASETS[(task, workload, seed, max_instances)] = dataset
-    return dataset
-
-
-def build_workload_datasets_remote(
-    workload: str,
-    seed: int,
-    tasks: tuple[tuple[str, Optional[str]], ...],
-    max_instances: Optional[int],
-    cache_root: Optional[str] = None,
-    workload_cache_key: Optional[str] = None,
-) -> list[TaskDataset]:
-    """Build *all* of one workload's datasets in a single worker call.
-
-    ``tasks`` is ``((task, dataset_key | None), ...)``.  Grouping by
-    workload is what makes the parallel cold path scale: the workload is
-    loaded once, and the process-wide analysis cache is shared across
-    the workload's tasks (which reuse the same query texts), instead of
-    every worker independently re-loading and re-parsing the same
-    workload for one task each.
-    """
-    return [
-        build_dataset_remote(
-            task,
-            workload,
-            seed,
-            max_instances,
-            cache_root,
-            dataset_key,
-            workload_cache_key,
-        )
-        for task, dataset_key in tasks
-    ]
-
-
 @dataclass(frozen=True)
 class ChunkTask:
-    """One chunk of a streamed cell, travelling through the work queue.
+    """One chunk of a cell, travelling through the work queue.
 
-    ``spec`` is an inline-instances :class:`ShardSpec` whose ``index``
-    is the chunk's position in the cell; ``fault`` is the test-only
-    injection channel ("crash" hard-kills the worker mid-chunk, "poison"
-    raises inside the evaluation) — it rides in the descriptor so a
-    re-dispatched chunk is clean by construction unless the test asked
-    for a persistent fault.
+    ``spec.index`` is the chunk's position in the cell; ``fault`` is
+    the test-only injection channel ("crash" hard-kills the worker
+    mid-chunk, "poison" raises inside the evaluation) — it rides in the
+    descriptor so a re-dispatched chunk is clean by construction unless
+    the test asked for a persistent fault.
     """
 
     cell: int
@@ -286,18 +219,59 @@ class ChunkTask:
     spec: ShardSpec
     fault: Optional[str] = None
 
+    def run(self) -> tuple[list[ModelAnswer], float]:
+        _, answers, seconds = evaluate_shard(self.spec)
+        return answers, seconds
+
+
+@dataclass(frozen=True)
+class DatasetTask:
+    """Build every listed dataset of one workload (``chunk`` numbers it).
+
+    ``tasks`` is ``((task, dataset_key), ...)``.  Grouping by
+    workload is what makes the parallel cold path scale: the workload is
+    loaded once, and the process-wide analysis cache is shared across
+    the workload's tasks (which reuse the same query texts), instead of
+    every worker independently re-loading and re-parsing the same
+    workload for one task each.  With a cache the built datasets (and
+    the workload) are persisted, so sibling workers and later chunks
+    materialize them from disk instead of rebuilding.
+    """
+
+    chunk: int
+    workload: str
+    seed: int
+    tasks: tuple[tuple[str, str], ...]
+    max_instances: Optional[int]
+    cache_root: Optional[str]
+    workload_cache_key: str
+    cell: int = -1
+    fault: Optional[str] = None
+
+    def run(self) -> list[TaskDataset]:
+        return [_dataset(self, task, dataset_key) for task, dataset_key in self.tasks]
+
 
 def stream_worker_main(task_queue, result_queue) -> None:
-    """Queue-worker loop: pull chunk descriptors until the None pill.
+    """Queue-worker loop: pull work items until the None pill.
 
     Each result message is ``(kind, pid, cell, chunk, payload)`` with
-    kind ``ok`` (payload ``(answers, seconds)``) or ``error`` (payload
-    the formatted exception).  A crashed worker sends nothing — the
-    parent notices the dead process and re-dispatches its assignments.
+    kind ``ok`` (payload: what the item's ``run()`` returned) or
+    ``error`` (payload: a backend error itself, so the parent can apply
+    the cell-error policy to it, else the formatted exception).  A
+    crashed worker sends nothing — the parent notices the dead process
+    and re-dispatches its assignments.
     """
     import os
+    import signal
 
-    init_worker_process()
+    from repro.llm.backends import BackendError
+
+    # Ctrl-C delivers SIGINT to the whole foreground process group; the
+    # parent turns it into a graceful drain (journal flush + resume
+    # hint), so workers must not race it with their own tracebacks —
+    # they ignore SIGINT and exit when the parent tears the pool down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
     while True:
         item = task_queue.get()
@@ -308,8 +282,7 @@ def stream_worker_main(task_queue, result_queue) -> None:
                 os._exit(43)
             if item.fault == "poison":
                 raise RuntimeError("injected poison fault")
-            _, answers, seconds = evaluate_shard(item.spec)
-            result_queue.put(("ok", pid, item.cell, item.chunk, (answers, seconds)))
+            result_queue.put(("ok", pid, item.cell, item.chunk, item.run()))
         except Exception as error:  # noqa: BLE001 - reported to the parent
             result_queue.put(
                 (
@@ -317,7 +290,9 @@ def stream_worker_main(task_queue, result_queue) -> None:
                     pid,
                     item.cell,
                     item.chunk,
-                    f"{type(error).__name__}: {error}",
+                    error
+                    if isinstance(error, BackendError)
+                    else f"{type(error).__name__}: {error}",
                 )
             )
 

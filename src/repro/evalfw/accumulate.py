@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.evalfw.metrics import (
     BinaryMetrics,
@@ -108,7 +108,7 @@ class CellAccumulator:
             if answer.flaws:
                 self.flawed += 1
 
-    def result(self, chunk_size: Optional[int] = None) -> "StreamedCellResult":
+    def result(self) -> "StreamedCellResult":
         """Finalise into a CellResult-compatible streamed result."""
         return StreamedCellResult(
             model=self.model,
@@ -116,7 +116,6 @@ class CellAccumulator:
             workload=self.workload,
             instance_count=self.instances,
             chunk_count=self.chunks,
-            chunk_size=chunk_size,
             _acc=self,
         )
 
@@ -136,7 +135,6 @@ class StreamedCellResult:
     workload: str
     instance_count: int
     chunk_count: int
-    chunk_size: Optional[int]
     _acc: CellAccumulator
 
     @property
@@ -189,9 +187,3 @@ class StreamedCellResult:
             return 0.0
         return self._acc.flawed / self.instance_count
 
-
-def result_instance_count(result) -> int:
-    """Instance count of a materialised OR streamed cell result."""
-    if isinstance(result, StreamedCellResult):
-        return result.instance_count
-    return len(result.dataset.instances)

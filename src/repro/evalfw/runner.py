@@ -1,7 +1,7 @@
 """Experiment runner: models x workloads x tasks.
 
 ``ExperimentRunner`` is the façade every artifact goes through.  It
-delegates dataset construction, sharded (optionally multi-process)
+delegates dataset construction, chunked (optionally multi-process)
 evaluation and result caching to :class:`repro.engine.ExperimentEngine`,
 runs every model over every instance through the real
 prompt/response/extraction path, and exposes the evaluated grids the
@@ -42,6 +42,10 @@ class CellResult:
     answers: list[ModelAnswer]
 
     @property
+    def instance_count(self) -> int:
+        return len(self.dataset.instances)
+
+    @property
     def binary(self) -> BinaryMetrics:
         truths = [bool(i.label) for i in self.dataset.instances]
         predictions = [a.predicted for a in self.answers]
@@ -64,7 +68,7 @@ class ExperimentRunner:
     """Evaluates models over cached workloads/datasets via the engine.
 
     ``workers=1`` (the default) evaluates in-process; ``workers>1`` fans
-    instance shards across a process pool with byte-identical results.
+    instance chunks across a work queue with byte-identical results.
     Passing ``cache_dir`` persists evaluated cells on disk so repeated
     runs with unchanged inputs skip recomputation entirely.
     """
@@ -75,7 +79,6 @@ class ExperimentRunner:
         models: tuple[ModelProfile, ...] = MODEL_PROFILES,
         max_instances: Optional[int] = None,
         workers: int = 1,
-        shard_size: Optional[int] = None,
         cache_dir: Optional[Path] = None,
         backend: BackendSpec = SIMULATED_SPEC,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
@@ -99,7 +102,6 @@ class ExperimentRunner:
             request_timeout=request_timeout,
             cell_deadline=cell_deadline,
             breaker_threshold=breaker_threshold,
-            **({"shard_size": shard_size} if shard_size is not None else {}),
         )
         self.engine = ExperimentEngine(config, models=models)
 
@@ -197,13 +199,8 @@ def metrics_table(
             continue
         row: dict[str, object] = {"Model": profile.display_name}
         for workload, cell in by_model[profile.name].items():
-            if kind == "binary":
-                metrics = cell.binary
-                row[f"{workload}.Prec"] = metrics.precision
-                row[f"{workload}.Rec"] = metrics.recall
-                row[f"{workload}.F1"] = metrics.f1
-            elif kind == "typed":
-                metrics = cell.typed
+            if kind in ("binary", "typed"):
+                metrics = getattr(cell, kind)
                 row[f"{workload}.Prec"] = metrics.precision
                 row[f"{workload}.Rec"] = metrics.recall
                 row[f"{workload}.F1"] = metrics.f1

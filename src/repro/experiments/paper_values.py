@@ -1,7 +1,7 @@
 """Reference values transcribed from the paper's tables.
 
-Used by the benchmark harness and EXPERIMENTS.md generator to print
-paper-vs-measured comparisons.  Keys: (model display name, workload) ->
+Used by the benchmark harness and the report bundle's paper-vs-measured
+tables (:mod:`repro.reporting.paper_refs`).  Keys: (model display name, workload) ->
 (precision, recall, f1); Table 5 carries (MAE, hit rate).
 """
 

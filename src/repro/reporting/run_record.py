@@ -104,15 +104,14 @@ def cell_record_from_result(
     metrics: dict[str, float] = {}
     confusion: dict[str, int] = {}
     explanation: Optional[tuple[float, float]] = None
+    instances = result.instance_count
     if isinstance(result, StreamedCellResult):
-        instances = result.instance_count
         has_labels = result.has_labels
         has_types = bool(result.types_present())
         has_positions = result.has_positions
         if result.has_gold and result.instance_count:
             explanation = (result.explanation_overlap_f1, result.flawed_rate)
     else:
-        instances = len(result.dataset.instances)
         has_labels = any(i.label is not None for i in result.dataset.instances)
         has_types = bool(result.dataset.types_present())
         has_positions = any(

@@ -652,25 +652,9 @@ class EvalServer:
     def _cache_entry(self, writer, key: str) -> None:
         from repro.engine.cache import ResultCache
 
-        cache = ResultCache(self.config.cache_dir)
-        path = cache._path(key)
-        if path.is_file():
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as error:
-                return self._respond(
-                    writer, 500, {"error": f"unreadable cache entry: {error}"}
-                )
-            return self._respond(
-                writer, 200, {"key": key, "segmented": False, "entry": entry}
-            )
-        manifest = cache.get_cell_manifest(key)
+        manifest = ResultCache(self.config.cache_dir).get_cell_manifest(key)
         if manifest is not None:
-            return self._respond(
-                writer,
-                200,
-                {"key": key, "segmented": True, "manifest": manifest},
-            )
+            return self._respond(writer, 200, {"key": key, "manifest": manifest})
         return self._respond(
             writer, 404, {"error": f"no cache entry {key!r}"}
         )

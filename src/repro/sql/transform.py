@@ -56,6 +56,7 @@ __all__ = [
     "select_cores",
     "rebuild_and",
     "walk",
+    "walk_scope",
 ]
 
 #: A mutation function mutates an already-cloned statement in place and
@@ -99,6 +100,24 @@ def outer_core(statement: n.Statement) -> Optional[n.SelectCore]:
 def select_cores(statement: n.Node) -> list[n.SelectCore]:
     """All SELECT cores in the statement, outermost first."""
     return [node for node in walk(statement) if isinstance(node, n.SelectCore)]
+
+
+def walk_scope(core: n.SelectCore) -> Iterable[n.Node]:
+    """Pre-order traversal of one core's own scope.
+
+    Like :func:`walk`, but nested queries (subqueries in expressions and
+    derived tables in FROM) are not entered: their column refs resolve
+    against their own sources, not the core's.
+    """
+    stack: list[n.Node] = [core]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(
+            child
+            for child in reversed(list(current.children()))
+            if not isinstance(child, n.Query)
+        )
 
 
 def collect(root: n.Node, node_type, predicate=None) -> list:

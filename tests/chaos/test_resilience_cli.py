@@ -46,7 +46,9 @@ def metrics_of(tmp_path) -> dict:
 
 
 class TestInterruptAndResume:
-    def _interrupt_resume_roundtrip(self, tmp_path, *extra: str):
+    def _interrupt_resume_roundtrip(
+        self, tmp_path, *extra: str, legacy_shard_size: bool = False
+    ):
         clean_dir = tmp_path / "clean"
         chaos_dir = tmp_path / "chaos"
         assert run(clean_dir, *extra) == 0
@@ -65,6 +67,12 @@ class TestInterruptAndResume:
         assert states.get("committed", 0) < len(reference)
         # The interrupted attempt must not have persisted a RunRecord.
         assert RunRecordStore(chaos_dir / "runs").run_ids() == []
+        if legacy_shard_size:
+            # Journals written while --shard-size existed carry the key.
+            manifest_path = chaos_dir / "runs" / journal.run_id / "journal" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["config"]["shard_size"] = 7
+            manifest_path.write_text(json.dumps(manifest))
 
         assert (
             main(
@@ -88,6 +96,9 @@ class TestInterruptAndResume:
 
     def test_streaming_path_resumes_byte_identical(self, tmp_path):
         self._interrupt_resume_roundtrip(tmp_path, "--chunk-size", "3")
+
+    def test_journal_with_shard_size_resumes_byte_identical(self, tmp_path):
+        self._interrupt_resume_roundtrip(tmp_path, legacy_shard_size=True)
 
     def test_resume_serves_committed_cells_from_cache(self, tmp_path, capsys):
         assert (

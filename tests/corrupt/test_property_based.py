@@ -11,7 +11,7 @@ must hold for every combination:
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import SemanticAnalyzer
@@ -40,6 +40,9 @@ seeds = st.integers(min_value=0, max_value=10_000)
 
 
 @given(query_indexes, seeds)
+# An SDSS query whose nested join once had a non-ambiguous qualifier
+# stripped and labelled alias-ambiguous.
+@example(index=92, seed=270)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_injected_errors_always_detected(index, seed):
     workload_name, query = _QUERIES[index]

@@ -110,11 +110,19 @@ class TestReplayGrid:
             serial = engine.run_task(TASK)
         replay_spec = BackendSpec.build("replay", {"dir": str(fixtures)})
         with _engine(
-            tmp_path / "parallel", backend=replay_spec, workers=2, shard_size=8
+            tmp_path / "parallel", backend=replay_spec, workers=2
         ) as engine:
             parallel = engine.run_task(TASK)
+        with _engine(
+            tmp_path / "chunked", backend=replay_spec, workers=2, chunk_size=8
+        ) as engine:
+            chunked = engine.run_task(TASK)
         for key, cell in serial.items():
             assert parallel[key].answers == cell.answers
+            assert (chunked[key].binary, chunked[key].typed) == (
+                cell.binary,
+                cell.typed,
+            )
 
     def test_warm_cache_does_not_elide_recording(self, tmp_path):
         """A record-mode run exists for its side effect: even with every

@@ -133,16 +133,16 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "ee" + "0" * 62
         cache.put(key, _answers())
-        cache._path(key).write_text("{not json")
+        next(cache._cell_segment_dir(key).glob("seg-*")).write_text("{not json")
         assert cache.get(key) is None
 
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "aa" + "0" * 62
-        cache.put(key, _answers())
-        payload = json.loads(cache._path(key).read_text())
+        manifest = cache.put(key, _answers())
+        payload = json.loads(manifest.read_text())
         payload["version"] = -1
-        cache._path(key).write_text(json.dumps(payload))
+        manifest.write_text(json.dumps(payload))
         assert cache.get(key) is None
 
     def test_clear_removes_everything(self, tmp_path):
@@ -202,7 +202,7 @@ class TestDatasetCache:
         cache = ResultCache(tmp_path)
         key = dataset_key("syntax_error", "sdss", 0, None)
         cache.put_dataset(key, self._dataset())
-        cache._dataset_path(key).write_bytes(b"\x80garbage")
+        next(cache._dataset_segment_dir(key).glob("seg-*")).write_bytes(b"\x80garbage")
         assert cache.get_dataset(key) is None
 
     def test_clear_removes_datasets_too(self, tmp_path):

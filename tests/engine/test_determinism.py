@@ -1,8 +1,8 @@
 """Engine determinism and cache-skip guarantees.
 
-Serial, multi-process, and cache-served evaluations of the same cell
-must produce identical answers (and therefore identical metrics) for a
-fixed seed; warm-cache reruns must not recompute anything.
+Serial, multi-process, chunked and cache-served evaluations of the same
+cell must produce identical answers (and therefore identical metrics)
+for a fixed seed; warm-cache reruns must not recompute anything.
 """
 
 import dataclasses
@@ -26,40 +26,52 @@ def _metrics(cell):
 class TestParallelEqualsSerial:
     def test_run_cell_identical_across_worker_counts(self):
         serial = ExperimentRunner(seed=SEED, max_instances=CAP)
-        parallel = ExperimentRunner(
-            seed=SEED, max_instances=CAP, workers=2, shard_size=7
+        parallel = ExperimentRunner(seed=SEED, max_instances=CAP, workers=2)
+        chunked = ExperimentRunner(
+            seed=SEED, max_instances=CAP, workers=2, chunk_size=7
         )
         try:
             a = serial.run_cell("gpt4", "syntax_error", "sdss")
             b = parallel.run_cell("gpt4", "syntax_error", "sdss")
+            c = chunked.run_cell("gpt4", "syntax_error", "sdss")
         finally:
             parallel.close()
+            chunked.close()
         assert a.answers == b.answers
-        assert _metrics(a) == _metrics(b)
+        assert _metrics(a) == _metrics(b) == _metrics(c)
+        assert c.instance_count == len(a.answers)
 
     def test_run_task_grid_identical_across_worker_counts(self):
         serial = ExperimentRunner(seed=SEED, max_instances=CAP)
-        parallel = ExperimentRunner(
-            seed=SEED, max_instances=CAP, workers=2, shard_size=11
+        parallel = ExperimentRunner(seed=SEED, max_instances=CAP, workers=2)
+        chunked = ExperimentRunner(
+            seed=SEED, max_instances=CAP, workers=2, chunk_size=11
         )
         try:
             grid_a = serial.run_task("performance_pred")
             grid_b = parallel.run_task("performance_pred")
+            grid_c = chunked.run_task("performance_pred")
         finally:
             parallel.close()
-        assert grid_a.keys() == grid_b.keys()
+            chunked.close()
+        assert list(grid_a) == list(grid_b) == list(grid_c)
         for key in grid_a:
             assert grid_a[key].answers == grid_b[key].answers
-        assert metrics_table(grid_a, "binary") == metrics_table(grid_b, "binary")
+        table = metrics_table(grid_a, "binary")
+        assert metrics_table(grid_b, "binary") == table
+        assert metrics_table(grid_c, "binary") == table
 
-    def test_odd_shard_sizes_do_not_change_results(self):
-        cells = []
-        for shard_size in (1, 3, 1000):
+    def test_odd_chunk_sizes_do_not_change_results(self):
+        reference = ExperimentRunner(seed=SEED, max_instances=13).run_cell(
+            "gemini", "miss_token", "sqlshare"
+        )
+        for chunk_size in (1, 3, 1000):
             runner = ExperimentRunner(
-                seed=SEED, max_instances=13, shard_size=shard_size
+                seed=SEED, max_instances=13, chunk_size=chunk_size
             )
-            cells.append(runner.run_cell("gemini", "miss_token", "sqlshare"))
-        assert cells[0].answers == cells[1].answers == cells[2].answers
+            cell = runner.run_cell("gemini", "miss_token", "sqlshare")
+            assert _metrics(cell) == _metrics(reference)
+            assert cell.instance_count == len(reference.answers)
 
 
 class TestCacheServedRuns:
@@ -92,7 +104,7 @@ class TestCacheServedRuns:
         assert _metrics(second) == _metrics(first)
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
-        parallel = self._engine(tmp_path, workers=2, shard_size=9)
+        parallel = self._engine(tmp_path, workers=2)
         try:
             first = parallel.run_cell("gemini", "syntax_error", "sdss")
         finally:
@@ -125,7 +137,8 @@ class TestCacheServedRuns:
             backend=cold.config.backend,
             backend_state=cold._backend_state(),
         )
-        cold.cache._path(key).write_text("corrupt", encoding="utf-8")
+        segment = next(cold.cache._cell_segment_dir(key).glob("seg-*.json"))
+        segment.write_text("corrupt", encoding="utf-8")
 
         warm = self._engine(tmp_path)
         grid_warm = warm.run_task("syntax_error")
@@ -196,9 +209,13 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
 
-    def test_rejects_zero_shard_size(self):
+    def test_rejects_zero_chunk_size(self):
         with pytest.raises(ValueError):
-            EngineConfig(shard_size=0)
+            EngineConfig(chunk_size=0)
+
+    def test_shard_size_is_gone(self):
+        with pytest.raises(TypeError):
+            EngineConfig(shard_size=8)
 
     def test_unknown_model_raises(self):
         engine = ExperimentEngine(EngineConfig(), models=(GPT4,))

@@ -1,18 +1,22 @@
-"""Streaming-vs-materialised equivalence properties.
+"""Chunk-size invariance: how a grid is cut into chunks never shows.
 
-The streamed data path must be byte-identical to the materialised one —
-not approximately equal: same task instances in the same order for
-every workload family and every task, same metrics from the engine, and
-interchangeable cache entries (a streamed run warms a materialised run
-and vice versa).  Chunking is a pure re-batching: chunk size 1, a
-non-divisor of n, and one chunk covering everything all concatenate to
-the same stream.
+Every cell goes through the same chunk scheduler; what varies is the
+chunk size (none — the dataset is materialised and every answer kept —
+or 1, a non-divisor of n, exactly n, and more than n), the worker count
+(in-process or the work queue) and the cache state (no cache, cold,
+warm).  Metrics must be byte-identical, not merely close, across all of
+them: the same task instances in the same order for every workload
+family and task, the same metrics from the engine, and interchangeable
+cache entries (a chunked run warms an unchunked run and vice versa).
+Each (task, workload) dataset is generated once per engine whatever
+the cache setting.
 """
 
 from itertools import chain
 
 import pytest
 
+import repro.engine.streaming as streaming
 from repro.engine import EngineConfig, ExperimentEngine
 from repro.llm.profiles import MODEL_PROFILES
 from repro.tasks.registry import build_dataset, tasks_for_workload
@@ -35,6 +39,11 @@ WORKLOAD_FAMILIES = (
 #: chunk=1 (maximal fragmentation), 7 (a non-divisor of every family
 #: size here), and 10**9 (a single chunk holding the whole stream).
 CHUNK_SIZES = (1, 7, 10**9)
+
+#: The invariance grid: two models, one task, 24 instances per cell.
+GRID_WORKLOAD = "synthetic:default:n=2"
+GRID_TASK = "syntax_error"
+GRID_N = 24
 
 _REFERENCE: dict[tuple[str, str], list] = {}
 
@@ -96,7 +105,53 @@ def _metrics(cell):
     return (cell.binary, cell.typed, cell.location)
 
 
-class TestStreamedEngineMatchesMaterialised:
+def _count(cell):
+    return getattr(cell, "instance_count", None) or len(cell.answers)
+
+
+_GRID_REFERENCE: dict = {}
+
+
+def _grid_reference():
+    """The unchunked, in-process, uncached grid every variant must match."""
+    if not _GRID_REFERENCE:
+        with ExperimentEngine(
+            EngineConfig(seed=SEED), MODEL_PROFILES[:2]
+        ) as engine:
+            grid = engine.run_task(GRID_TASK, (GRID_WORKLOAD,))
+        assert all(len(cell.answers) == GRID_N for cell in grid.values())
+        _GRID_REFERENCE.update(grid)
+    return _GRID_REFERENCE
+
+
+class TestChunkSizeInvariance:
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("chunk_size", (None, 1, 7, GRID_N, GRID_N + 5))
+    def test_grid_identical_across_cache_states(self, tmp_path, chunk_size, workers):
+        reference = _grid_reference()
+        for label, cache_dir in (
+            ("no cache", None),
+            ("cold", tmp_path / "cache"),
+            ("warm", tmp_path / "cache"),
+        ):
+            config = EngineConfig(
+                seed=SEED, chunk_size=chunk_size, workers=workers, cache_dir=cache_dir
+            )
+            with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+                grid = engine.run_task(GRID_TASK, (GRID_WORKLOAD,))
+                if label == "warm":
+                    assert engine.computed_cells == 0, label
+                else:
+                    assert engine.cached_cells == 0, label
+            assert list(grid) == list(reference), label
+            for key, cell in grid.items():
+                assert _metrics(cell) == _metrics(reference[key]), (label, key)
+                assert _count(cell) == GRID_N, (label, key)
+                if chunk_size is None:
+                    assert cell.answers == reference[key].answers, (label, key)
+                else:
+                    assert cell.chunk_count == -(-GRID_N // chunk_size), (label, key)
+
     @pytest.mark.parametrize(
         "task",
         (
@@ -121,44 +176,75 @@ class TestStreamedEngineMatchesMaterialised:
         assert _metrics(streamed) == _metrics(reference)
         assert streamed.instance_count == len(reference.dataset.instances)
 
-    def test_two_workers_identical_to_serial_streaming(self, tmp_path):
-        workload_name = "synthetic:default:n=12"
-        with ExperimentEngine(
-            EngineConfig(
-                seed=SEED, chunk_size=19, cache_dir=tmp_path / "serial"
-            ),
-            (_gpt4(),),
-        ) as engine:
-            serial = engine.run_cell("gpt4", "miss_token", workload_name)
-        with ExperimentEngine(
-            EngineConfig(
-                seed=SEED,
-                chunk_size=19,
-                workers=2,
-                cache_dir=tmp_path / "pooled",
-            ),
-            (_gpt4(),),
-        ) as engine:
-            pooled = engine.run_cell("gpt4", "miss_token", workload_name)
-            stats = engine.stream_stats()
-        assert _metrics(pooled) == _metrics(serial)
-        assert stats is not None and stats["instances"] == serial.instance_count
-
     def test_paper_workload_streams_identically(self, tmp_path):
         with ExperimentEngine(
             EngineConfig(seed=SEED, cache_dir=tmp_path / "m"), (_gpt4(),)
         ) as engine:
             reference = engine.run_cell("gpt4", "syntax_error", "sdss")
         with ExperimentEngine(
-            EngineConfig(seed=SEED, chunk_size=37, cache_dir=tmp_path / "s"),
+            EngineConfig(seed=SEED, chunk_size=37, workers=2, cache_dir=tmp_path / "s"),
             (_gpt4(),),
         ) as engine:
             streamed = engine.run_cell("gpt4", "syntax_error", "sdss")
+            stats = engine.stream_stats()
         assert _metrics(streamed) == _metrics(reference)
+        assert stats is not None and stats["instances"] == streamed.instance_count
+
+
+class TestDatasetGeneratedOnce:
+    """One generator pass per (task, workload) and engine, whatever the
+    cache setting; warm unchunked runs read each dataset once."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        counter = {"passes": 0}
+        original = streaming.iter_instance_chunks
+
+        def counting(*args, **kwargs):
+            counter["passes"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(streaming, "iter_instance_chunks", counting)
+        return counter
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_chunked_grid_generates_each_dataset_once(self, tmp_path, passes, workers):
+        workload_name = "synthetic:default:n=10"
+        for label, cache_dir, expected in (
+            ("no cache", None, 1),
+            ("cold", tmp_path / "cache", 1),
+            ("warm", tmp_path / "cache", 0),
+        ):
+            passes["passes"] = 0
+            config = EngineConfig(
+                seed=SEED, chunk_size=30, workers=workers, cache_dir=cache_dir
+            )
+            with ExperimentEngine(config, MODEL_PROFILES) as engine:
+                grid = engine.run_task("syntax_error", (workload_name,))
+            assert len(grid) == len(MODEL_PROFILES)
+            assert passes["passes"] == expected, label
+
+    def test_spill_directory_is_removed_on_close(self, passes):
+        config = EngineConfig(seed=SEED, chunk_size=30)
+        with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+            engine.run_task("syntax_error", ("synthetic:default:n=10",))
+            spill = engine._spill.root
+            assert spill.is_dir()
+        assert not spill.exists()
+        assert passes["passes"] == 1
+
+    def test_warm_unchunked_grid_reads_each_dataset_once(self, tmp_path):
+        config = EngineConfig(seed=SEED, cache_dir=tmp_path / "cache")
+        with ExperimentEngine(config, MODEL_PROFILES) as engine:
+            engine.run_task("syntax_error", ("synthetic:default:n=10",))
+        with ExperimentEngine(config, MODEL_PROFILES) as engine:
+            engine.run_task("syntax_error", ("synthetic:default:n=10",))
+            assert engine.cached_cells == len(MODEL_PROFILES)
+            assert engine.cache.stats.dataset_hits == 1
 
 
 class TestCacheInterchangeability:
-    """Streamed and materialised runs share one cache, either direction."""
+    """Chunked and unchunked runs share one cache, either direction."""
 
     def test_streamed_run_warms_materialised_run(self, tmp_path):
         workload_name = "synthetic:default:n=12"
@@ -172,8 +258,8 @@ class TestCacheInterchangeability:
         ) as engine:
             warmed = engine.run_cell("gpt4", "syntax_error", workload_name)
             assert engine.cached_cells == 1 and engine.computed_cells == 0
-        # The materialised serve reassembled the streamed run's answer
-        # segments — identical answers proves the segments are exact.
+        # The unchunked serve read the chunked run's answer segments —
+        # identical answers proves the segments are exact.
         fresh = ExperimentEngine(EngineConfig(seed=SEED), (_gpt4(),))
         reference = fresh.run_cell("gpt4", "syntax_error", workload_name)
         assert warmed.answers == reference.answers

@@ -106,6 +106,16 @@ class TestLifecycle:
             assert excinfo.value.status == 400
             assert client.jobs() == []
 
+    def test_removed_shard_size_key_is_rejected(self, tmp_path):
+        config = config_for(tmp_path)
+        with serve(config) as server:
+            client = client_for(server)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({**GRID, "shard_size": 8})
+            assert excinfo.value.status == 400
+            assert "unknown run request keys: shard_size" in str(excinfo.value)
+            assert client.jobs() == []
+
     def test_unknown_job_404(self, tmp_path):
         config = config_for(tmp_path)
         with serve(config) as server:

@@ -71,26 +71,28 @@ class TestCli:
         assert main(["run", "table99"]) == 2
         assert "unknown artifacts" in capsys.readouterr().err
 
-    def test_run_accepts_shard_size(self, tmp_path, capsys):
+    def test_run_accepts_chunk_size(self, tmp_path, capsys):
         assert main(
             [
-                "run", "table1", "--shard-size", "7", "--no-record",
+                "run", "table1", "--chunk-size", "7", "--no-record",
                 "--no-cache",
             ]
         ) == 0
         assert "Recognition" in capsys.readouterr().out
 
-    def test_run_rejects_bad_shard_size(self, capsys):
-        assert main(["run", "table1", "--shard-size", "0"]) == 2
-        assert "--shard-size" in capsys.readouterr().err
+    def test_run_rejects_bad_chunk_size(self, capsys):
+        assert main(["run", "table1", "--chunk-size", "-1"]) == 2
+        assert "--chunk-size" in capsys.readouterr().err
 
-    def test_report_rejects_bad_shard_size(self, tmp_path, capsys):
-        assert main(
-            [
-                "report", "--shard-size", "-1",
-                "--runs-dir", str(tmp_path / "none"),
-            ]
-        ) == 2
+    def test_removed_shard_size_flag_is_rejected(self, tmp_path, capsys):
+        for argv in (
+            ["run", "table1", "--shard-size", "7"],
+            ["report", "--shard-size", "7", "--runs-dir", str(tmp_path / "none")],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "--shard-size" in capsys.readouterr().err
 
     def test_bench_rejects_bad_workers(self, capsys):
         assert main(["bench", "--workers", "0"]) == 2

@@ -7,6 +7,11 @@ seeded synthetic — must hash to the same value after the three legacy
 AST-mutation sites (corruption injectors, counter-transforms, synthetic
 perturbations) were moved onto the shared transform primitives.  A
 mismatch here means the refactor changed observable evaluation data.
+
+One fingerprint has moved since, on purpose: ``("syntax_error", "sdss")``
+was re-recorded when the alias-ambiguous injector stopped stripping
+qualifiers inside nested SELECTs (the stripped reference was not
+ambiguous there, so the label was wrong).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import pytest
 from scripts.dataset_fingerprints import dataset_fingerprint
 
 EXPECTED_FINGERPRINTS = {
-    ("syntax_error", "sdss"): "ad9ef7b4707382736d47d8d3d3307b1bc86545f942c8b098572860041c4f02d0",
+    ("syntax_error", "sdss"): "2d7ed38a0b3513314ab34404839c46c2aa13a99d6b8146ee92c3fa48816eae93",
     ("syntax_error", "sqlshare"): "53a3862ffde1145f850a51e0487b5b1609560baa04c6375d61799b88a61c5ec9",
     ("syntax_error", "join_order"): "04e925acd623a2bdfa947a8d8144c9e1d34f544806a77fe54ed9a4138b62fa3c",
     ("miss_token", "sdss"): "4b7e02f5c9e174158133ad2fe86ed6c6002b27e5033d39fb7110c2bbc3a32901",
