@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for evaluated cells and datasets.
+"""Content-addressed on-disk cache for cells, datasets and workloads.
 
 Three namespaces under one cache root:
 
@@ -12,15 +12,20 @@ Three namespaces under one cache root:
   grid run, so warm runs load instead of rebuilding, and workers
   materialize chunk instances from here, which is what lets a chunk
   name a dataset slice instead of carrying pickled instances;
-* ``workloads/`` — each loaded :class:`Workload`, pickled under a key
-  hashing (workload, seed), so workers that must *build* a dataset load
-  the workload in milliseconds instead of regenerating it per process.
+* ``workloads/`` — each workload's queries, under a key hashing
+  (workload, seed): segments of pickled queries (text and measured
+  properties; the parsed tree is derived again from the text), the
+  schema catalog (``schemas.pkl``) and a manifest.  A chunked run
+  stores the workload it generates here, so its other tasks read the
+  queries instead of generating them again; workers that must *build*
+  a dataset load the workload instead of regenerating it per process.
 
-Cell and dataset entries are *segmented*: a directory of segments plus
-a manifest written last, which is the entry's commit point (see the
+Every entry is *segmented*: a directory of segments plus a manifest
+written last, which is the entry's commit point (see the
 segmented-entries section below).  :meth:`ResultCache.get` /
-:meth:`~ResultCache.put` and :meth:`~ResultCache.get_dataset` /
-:meth:`~ResultCache.put_dataset` read and write a whole entry at once.
+:meth:`~ResultCache.put`, :meth:`~ResultCache.get_dataset` /
+:meth:`~ResultCache.put_dataset` and :meth:`~ResultCache.get_workload` /
+:meth:`~ResultCache.put_workload` read and write a whole entry at once.
 
 Change any input and the key changes, so stale entries are never served
 — they are simply never looked up again.  Writes go through a
@@ -35,7 +40,7 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,6 +51,9 @@ from repro.tasks.base import ModelAnswer, TaskDataset
 
 #: Bump when the serialized answer format changes; old entries miss.
 CACHE_VERSION = 1
+
+#: The file of a workload entry holding its schema catalog.
+_SCHEMAS = "schemas.pkl"
 
 #: What reading a damaged JSON or pickle entry can raise.
 _UNREADABLE = (
@@ -213,11 +221,11 @@ def dataset_key(
 
 
 def workload_key(workload: str, seed: int) -> str:
-    """Content address of one loaded workload (task independent).
+    """Content address of one workload's queries (task independent).
 
-    Workload construction costs a sizable fraction of a cold run and
-    used to be repeated inside *every* worker process; pickling it once
-    lets workers load in milliseconds instead.
+    Query generation costs a sizable fraction of a cold run; storing a
+    workload once lets every later reader (the other tasks of a chunked
+    run, worker processes building datasets) load it instead.
     """
     payload = json.dumps(
         {
@@ -274,16 +282,13 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """On-disk cell + dataset cache rooted at ``root``."""
+    """On-disk cell, dataset and workload cache rooted at ``root``."""
 
     root: Path
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-
-    def _workload_path(self, key: str) -> Path:
-        return self.root / "workloads" / f"{key}.pkl"
 
     def get(
         self, key: str, expected_ids: Optional[Sequence[str]] = None
@@ -352,25 +357,29 @@ class ResultCache:
         """Cached workload for ``key``, or None (corrupt entries miss)."""
         from repro.workloads.base import Workload
 
+        manifest = self.get_workload_manifest(key)
+        if manifest is None:
+            return None
+        workload = Workload(name=manifest["meta"]["workload"], schemas=manifest["schemas"])
         try:
-            workload = pickle.loads(_read_bytes(self._workload_path(key)))
-            if not isinstance(workload, Workload):
-                raise ValueError("not a Workload")
-        except _UNREADABLE:
+            for segment in self.iter_workload_segments(key, manifest):
+                workload.queries.extend(segment)
+        except CacheSegmentError:
             return None
         return workload
 
     def put_workload(self, key: str, workload) -> Path:
-        """Store a loaded workload atomically; returns the entry path."""
-        return self._write_atomic_bytes(
-            self._workload_path(key),
-            pickle.dumps(workload, protocol=pickle.HIGHEST_PROTOCOL),
+        """Store a loaded workload as one segment; returns the manifest path."""
+        count = len(workload.queries)
+        self.put_workload_segment(key, 0, workload.queries)
+        return self.commit_workload_segments(
+            key, count, [count], workload.name, workload.schemas
         )
 
     # -- segmented entries -------------------------------------------------
     #
-    # Every cell and dataset entry: one directory per key holding
-    # segments plus a manifest.  The manifest is written LAST
+    # Every cell, dataset and workload entry: one directory per key
+    # holding segments plus a manifest.  The manifest is written LAST
     # (after every segment landed via temp+rename), so it doubles as the
     # commit record — a crash mid-run leaves segments without a
     # manifest, which readers treat as "entry absent".  No partial entry
@@ -381,6 +390,9 @@ class ResultCache:
 
     def _cell_segment_dir(self, key: str) -> Path:
         return self.root.joinpath("cells", key[:2], key)
+
+    def _workload_segment_dir(self, key: str) -> Path:
+        return self.root.joinpath("workloads", key)
 
     @staticmethod
     def _segment_name(index: int, suffix: str) -> str:
@@ -493,6 +505,67 @@ class ResultCache:
             manifest,
         )
 
+    def put_workload_segment(self, key: str, index: int, queries: list) -> Path:
+        """Store one workload segment (a list of WorkloadQuery) atomically.
+
+        Queries are stored without their parsed tree: every builder
+        emits the parser's normal form, so ``query.statement`` derives
+        an equal tree from the text (through the process-wide parse
+        memo), which costs less than pickling and unpickling the tree.
+        """
+        path = self._workload_segment_dir(key) / self._segment_name(index, ".pkl")
+        queries = [replace(query, _statement=None) for query in queries]
+        return self._write_atomic_bytes(
+            path, pickle.dumps(queries, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+
+    def commit_workload_segments(
+        self,
+        key: str,
+        chunk_size: int,
+        counts: Sequence[int],
+        name: str,
+        schemas: dict,
+    ) -> Path:
+        """Write the schemas, then the manifest — the commit point."""
+        directory = self._workload_segment_dir(key)
+        self._write_atomic_bytes(
+            directory / _SCHEMAS,
+            pickle.dumps(schemas, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+        return self._commit_manifest(
+            directory, "workload-segments", chunk_size, counts, {"workload": name}
+        )
+
+    def get_workload_manifest(self, key: str) -> Optional[dict]:
+        """The committed workload manifest with its ``schemas``, or None."""
+        directory = self._workload_segment_dir(key)
+        manifest = self._read_manifest(directory, "workload-segments")
+        if manifest is None:
+            return None
+        try:
+            manifest["schemas"] = pickle.loads(
+                _read_bytes(os.path.join(directory, _SCHEMAS))
+            )
+            if not isinstance(manifest["schemas"], dict):
+                raise ValueError("schemas are not a dict")
+        except _UNREADABLE:
+            return None
+        return manifest
+
+    def iter_workload_segments(self, key: str, manifest: Optional[dict] = None):
+        """Yield committed workload segments (query lists) in order.
+
+        Raises :class:`CacheSegmentError` like the other iterators.
+        """
+        return self._iter_segments(
+            self._workload_segment_dir(key),
+            "workload-segments",
+            ".pkl",
+            lambda path: pickle.loads(_read_bytes(path)),
+            manifest,
+        )
+
     def put_cell_segment(
         self, key: str, index: int, answers: list[ModelAnswer]
     ) -> Path:
@@ -540,12 +613,14 @@ class ResultCache:
         for directory in (
             self._cell_segment_dir(key),
             self._dataset_segment_dir(key),
+            self._workload_segment_dir(key),
         ):
             if not directory.is_dir():
                 continue
             (directory / "manifest.json").unlink(missing_ok=True)
             for path in sorted(directory.glob("seg-*")):
                 path.unlink(missing_ok=True)
+            (directory / _SCHEMAS).unlink(missing_ok=True)
             try:
                 directory.rmdir()
             except OSError:
@@ -562,24 +637,25 @@ class ResultCache:
         return sorted(self.root.glob("datasets/*/manifest.json"))
 
     def workload_entries(self) -> list[Path]:
-        return sorted(self.root.glob("workloads/*.pkl"))
+        """The manifest of every committed workload entry."""
+        return sorted(self.root.glob("workloads/*/manifest.json"))
 
     def segment_entries(self) -> list[Path]:
-        """Every segment file and manifest across both namespaces."""
+        """Every segment file, schema file and manifest in all namespaces."""
         return sorted(
             [
                 *self.root.glob("datasets/*/seg-*.pkl"),
                 *self.root.glob("datasets/*/manifest.json"),
                 *self.root.glob("cells/*/*/seg-*.json"),
                 *self.root.glob("cells/*/*/manifest.json"),
+                *self.root.glob("workloads/*/seg-*.pkl"),
+                *self.root.glob(f"workloads/*/{_SCHEMAS}"),
+                *self.root.glob("workloads/*/manifest.json"),
             ]
         )
 
     def size_bytes(self) -> int:
-        return sum(
-            path.stat().st_size
-            for path in (*self.workload_entries(), *self.segment_entries())
-        )
+        return sum(path.stat().st_size for path in self.segment_entries())
 
     def clear(self) -> int:
         """Delete every cell, dataset and workload entry; returns how many.
@@ -593,7 +669,7 @@ class ResultCache:
             + len(self.dataset_entries())
             + len(self.workload_entries())
         )
-        for path in (*self.workload_entries(), *self.segment_entries()):
+        for path in self.segment_entries():
             path.unlink(missing_ok=True)
         for orphan in self.root.glob("**/*.tmp.*"):
             if orphan.is_file():

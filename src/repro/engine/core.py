@@ -229,8 +229,9 @@ class ExperimentEngine:
         self._backend_state_memo: Optional[str] = None
         self._by_name = {profile.name: profile for profile in models}
         self._streaming: Optional["StreamingEvaluator"] = None
-        #: Chunked runs without a cache keep dataset segments here, so
-        #: a dataset read by several cells is generated once.
+        #: Chunked runs without a cache keep dataset and workload
+        #: segments here, so a dataset read by several cells, and a
+        #: workload read by several tasks, is generated once.
         self._spill: Optional[ResultCache] = None
         self._spill_dir: Optional[tempfile.TemporaryDirectory] = None
 
@@ -286,7 +287,7 @@ class ExperimentEngine:
         )
 
     def _spill_store(self) -> ResultCache:
-        """The private dataset-segment store of a run without a cache.
+        """The private segment store of a chunked run without a cache.
 
         Removed by :meth:`close`, or when the engine is collected.
         """

@@ -26,10 +26,12 @@ workloads) decides two things:
   itself; the datasets were built in the workers beforehand, one work
   item per workload.
 
-Either way each (task, workload) dataset is generated once per engine:
-a chunked dataset's chunks are stored as segments — in the cache, else
-in a private spill directory when another cell of the request will
-read them.
+Either way each workload and each dataset is generated once per
+engine.  Chunked, a dataset's chunks are stored as segments — in the
+cache, else in a private spill directory when another cell of the
+request will read them — and so are the queries of the workload it was
+built from (uncapped runs only), which the workload's other tasks read
+instead of running the generator again.
 
 Scheduling: with ``workers > 1`` work items go to a pool of queue
 workers (:func:`repro.engine.worker.stream_worker_main`).  Dispatch is
@@ -59,7 +61,7 @@ import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.engine.cache import CacheSegmentError
 from repro.engine.worker import ChunkTask, ShardSpec, stream_worker_main
@@ -68,7 +70,7 @@ from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
 from repro.tasks.base import TaskDataset
 from repro.tasks.streaming import iter_instance_chunks
-from repro.workloads.streaming import stream_workload
+from repro.workloads.streaming import WorkloadStream, stream_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExperimentEngine
@@ -228,6 +230,26 @@ def _rechunk(segments: Iterator[list], chunk_size: int) -> Iterator[list]:
         if not chunk:
             return
         yield chunk
+
+
+def _read_or_regenerate(
+    store, key: str, segments: Iterator[list], regenerate: Callable[[], Iterator]
+) -> Iterator[Iterable]:
+    """A committed entry's ``segments``, in order.
+
+    A segment that turns out unreadable mid-read drops the entry; the
+    rest comes as one last iterable from ``regenerate()``, a fresh
+    generator pass, skipping the items already served.
+    """
+    served = 0
+    try:
+        for segment in segments:
+            yield segment
+            served += len(segment)
+        return
+    except CacheSegmentError:
+        store.discard_segments(key)
+    yield islice(regenerate(), served, None)
 
 
 @dataclass
@@ -558,36 +580,32 @@ class StreamingEvaluator:
     def _dataset_chunks(self, task: str, workload: str, persist: bool) -> Iterator[list]:
         """The (task, workload) dataset in ``chunk_size`` chunks.
 
-        Committed dataset segments are read back; otherwise the task
-        generators run, and with ``persist`` their chunks are stored as
-        segments for the next reader.  A segment that turns out
-        unreadable mid-read is dropped and the stream continues from a
-        fresh generator pass, skipping what was already served.
+        Committed dataset segments are read back (see
+        :func:`_read_or_regenerate` for a damaged one); otherwise the
+        task generators run, and with ``persist`` their chunks are
+        stored as segments for the next reader.
         """
         engine = self.engine
-        chunk_size = engine.config.chunk_size
         dkey = engine._dataset_disk_key(task, workload)
         store = engine.cache if engine.cache is not None else engine._spill
-        served = 0
         manifest = store.get_dataset_manifest(dkey) if store is not None else None
         if manifest is not None:
             store.stats.dataset_hits += 1
-            try:
-                segments = store.iter_dataset_segments(dkey, manifest)
-                for chunk in _rechunk(segments, chunk_size):
-                    served += len(chunk)
-                    yield chunk
-                return
-            except CacheSegmentError:
-                store.discard_segments(dkey)
-        elif store is not None:
+            segments = _read_or_regenerate(
+                store,
+                dkey,
+                store.iter_dataset_segments(dkey, manifest),
+                lambda: chain.from_iterable(
+                    self._generate(task, workload, dkey, store if persist else None)
+                ),
+            )
+            yield from _rechunk(segments, engine.config.chunk_size)
+            return
+        if store is not None:
             store.stats.dataset_misses += 1
-        if persist and store is None:
+        elif persist:
             store = engine._spill_store()
-        chunks = self._generate(task, workload, dkey, store if persist else None)
-        if served:
-            chunks = _rechunk(islice(chain.from_iterable(chunks), served, None), chunk_size)
-        yield from chunks
+        yield from self._generate(task, workload, dkey, store if persist else None)
 
     def _generate(self, task: str, workload: str, dkey: str, store) -> Iterator[list]:
         """One generator pass; stores segments + manifest in ``store``."""
@@ -595,7 +613,7 @@ class StreamingEvaluator:
         counts: list[int] = []
         for chunk in iter_instance_chunks(
             task,
-            stream_workload(workload, config.seed),
+            self._workload_stream(workload),
             seed=config.seed,
             chunk_size=config.chunk_size,
             max_instances=config.max_instances,
@@ -611,6 +629,64 @@ class StreamingEvaluator:
                 counts,
                 meta={"task": task, "workload": workload},
             )
+
+    # -- chunked workload production ---------------------------------------
+
+    def _workload_stream(self, workload: str) -> WorkloadStream:
+        """The workload's queries for one more dataset built from it.
+
+        A committed workload entry (in the cache, else in the spill
+        store) is read back.  Otherwise the generator runs and its
+        queries are stored as segments for the workload's next reader,
+        in the cache or else the spill store; storing costs about 2% of
+        generating, so even a lone reader stores them.  A capped run
+        (``max_instances``) stops reading early, so it never stores a
+        workload: a prefix must not pass for the whole.
+        """
+        engine = self.engine
+        config = engine.config
+        wkey = engine._workload_disk_key(workload)
+        store = engine.cache if engine.cache is not None else engine._spill
+        persist = config.max_instances is None
+        manifest = store.get_workload_manifest(wkey) if store is not None else None
+        if manifest is not None:
+
+            def regenerate() -> Iterator:
+                fresh = stream_workload(workload, config.seed)
+                return self._storing_queries(fresh, wkey, store) if persist else fresh.factory()
+
+            return WorkloadStream(
+                name=manifest["meta"]["workload"],
+                schemas=manifest["schemas"],
+                total=manifest["total"],
+                factory=lambda: chain.from_iterable(
+                    _read_or_regenerate(
+                        store, wkey, store.iter_workload_segments(wkey, manifest), regenerate
+                    )
+                ),
+            )
+        generated = stream_workload(workload, config.seed)
+        if not persist:
+            return generated
+        if store is None:
+            store = engine._spill_store()
+        return dataclasses.replace(
+            generated,
+            factory=lambda: self._storing_queries(generated, wkey, store),
+        )
+
+    def _storing_queries(self, stream: WorkloadStream, wkey: str, store) -> Iterator:
+        """``stream``'s queries, stored in ``store`` as they pass."""
+        queries = stream.factory()
+        chunk_size = self.engine.config.chunk_size
+        counts: list[int] = []
+        while segment := list(islice(queries, chunk_size)):
+            store.put_workload_segment(wkey, len(counts), segment)
+            counts.append(len(segment))
+            yield from segment
+        store.commit_workload_segments(
+            wkey, chunk_size, counts, stream.name, stream.schemas
+        )
 
     # -- executors ---------------------------------------------------------
 

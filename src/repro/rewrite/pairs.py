@@ -50,6 +50,7 @@ from repro.sql.transform import (
 )
 from repro.util import derive_rng
 from repro.workloads.base import Workload
+from repro.workloads.builders import number_literal
 
 
 @dataclass
@@ -112,25 +113,6 @@ def _ref(label: str, column: str, qualify: bool) -> n.ColumnRef:
 
 
 def _int_literal(value: int) -> n.Literal:
-    return n.Literal(value=value, kind="number", text=str(value))
-
-
-def _number_literal(value) -> n.Expr:
-    """A number literal in parser normal form.
-
-    The parser derives ``-27.07`` as unary minus over a positive
-    literal, so seeded negative values (SDSS declination ranges below
-    zero) must be built the same way or ``parse(render(ast)) == ast``
-    breaks for every statement they end up in.
-    """
-    if value < 0:
-        positive = -value
-        return n.Unary(
-            op="-",
-            operand=n.Literal(
-                value=positive, kind="number", text=str(positive)
-            ),
-        )
     return n.Literal(value=value, kind="number", text=str(value))
 
 
@@ -323,9 +305,9 @@ def _seed_having_group_pred(
     elif column.col_type in (ColType.INT, ColType.FLOAT):
         low, high = (spec.low, spec.high) if spec else (0, 1000)
         if column.col_type is ColType.INT:
-            literal = _number_literal(rng.randint(int(low), int(high)))
+            literal = number_literal(rng.randint(int(low), int(high)))
         else:
-            literal = _number_literal(round(rng.uniform(low, high), 3))
+            literal = number_literal(round(rng.uniform(low, high), 3))
         op = rng.choice((">", ">=", "<", "<="))
     else:
         return False

@@ -8,6 +8,7 @@ on uncorrupted workload queries (a test-enforced invariant).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -32,11 +33,19 @@ class SourceCtx:
         return n.ColumnRef(name=column_name, table=table)
 
 
-def number_literal(value: float | int) -> n.Literal:
-    if isinstance(value, int):
-        return n.Literal(value=value, kind="number", text=str(value))
-    rounded = round(value, 3)
-    return n.Literal(value=rounded, kind="number", text=f"{rounded}")
+def number_literal(value: float | int) -> n.Expr:
+    """A number literal in parser normal form (floats rounded to 3 places).
+
+    The parser derives ``-20.5`` as unary minus over a positive literal,
+    and schema value specs span negative ranges (SDSS declination), so
+    a negative value is built the same way; ``parse(render(ast)) == ast``
+    then holds exactly for every statement it ends up in.
+    """
+    if not isinstance(value, int):
+        value = round(value, 3)
+    if math.copysign(1, value) < 0:  # -0.0 too: it renders as "-0.0"
+        return n.Unary(op="-", operand=number_literal(-value))
+    return n.Literal(value=value, kind="number", text=str(value))
 
 
 def string_literal(value: str) -> n.Literal:

@@ -29,6 +29,7 @@ from repro.workloads.builders import (
     SourceCtx,
     and_all,
     fk_join_path,
+    number_literal,
     random_predicate,
     statement_word_count,
 )
@@ -214,8 +215,10 @@ class _JobBuilder:
 
     def create_as_select(self) -> n.Statement:
         rng = self.rng
-        title = SourceCtx(table=self.schema.table("title"), alias="t")
-        rating = SourceCtx(table=self.schema.table("movie_rating"), alias="mr")
+        # The threshold is the second of two draws: the recorded workload
+        # (and every dataset fingerprint built from it) takes the first.
+        rng.uniform(5.0, 9.0)
+        threshold = number_literal(round(rng.uniform(5.0, 9.0), 1))
         core = n.SelectCore(
             items=[
                 n.SelectItem(
@@ -245,11 +248,7 @@ class _JobBuilder:
                 right=n.Binary(
                     op=">",
                     left=n.ColumnRef(name="rating", table="mr"),
-                    right=n.Literal(
-                        value=round(rng.uniform(5.0, 9.0), 1),
-                        kind="number",
-                        text=str(round(rng.uniform(5.0, 9.0), 1)),
-                    ),
+                    right=threshold,
                 ),
             ),
         )

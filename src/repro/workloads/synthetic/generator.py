@@ -29,7 +29,6 @@ from repro.sql import nodes as n
 from repro.sql.analysis_cache import ensure_capacity
 from repro.sql.properties import extract_statement_properties
 from repro.sql.render import render
-from repro.sql.transform import rewrite_leaves
 from repro.util import derive_rng
 from repro.workloads.base import Workload, WorkloadQuery
 from repro.workloads.builders import (
@@ -259,35 +258,6 @@ class StratumBuilder:
         return n.SelectStatement(query=n.Query(body=body))
 
 
-def _negated_literal(literal: n.Literal) -> n.Unary:
-    positive = -literal.value
-    return n.Unary(
-        op="-",
-        operand=n.Literal(value=positive, kind="number", text=str(positive)),
-    )
-
-
-def _is_negative_number(value: object) -> bool:
-    return (
-        isinstance(value, n.Literal)
-        and value.kind == "number"
-        and isinstance(value.value, (int, float))
-        and value.value < 0
-    )
-
-
-def to_parser_normal_form(statement: n.Statement) -> None:
-    """Rewrite negative number literals as ``Unary('-', positive)`` in place.
-
-    The parser always derives ``-20.5`` as a unary minus over a positive
-    literal; schema value specs span negative ranges (SDSS declination),
-    so the predicate builders can emit negative ``Literal``s.  Normalising
-    them is what makes ``parse(render(ast)) == ast`` hold *exactly*, not
-    merely up to a render fixed point.
-    """
-    rewrite_leaves(statement, _is_negative_number, _negated_literal)
-
-
 def synthetic_total(spec: SyntheticSpec) -> int:
     """Number of queries the spec yields, without generating any."""
     return sum(stratum.instances for stratum in spec.selected_strata())
@@ -315,7 +285,6 @@ def iter_synthetic_queries(
         for index in range(stratum.instances):
             rng = derive_rng("synthetic", canonical, stratum.name, index, seed)
             statement = StratumBuilder(schema, stratum, rng).build()
-            to_parser_normal_form(statement)
             text = render(statement)
             props = extract_statement_properties(statement, text)
             query = WorkloadQuery(

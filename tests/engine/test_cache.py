@@ -10,10 +10,12 @@ from repro.engine.cache import (
     cell_key,
     dataset_key,
     prompt_fingerprint,
+    workload_key,
 )
 from repro.llm.profiles import GPT4, SYNTAX
 from repro.prompts.templates import TUNED_PROMPTS, PromptTemplate
 from repro.tasks.base import ModelAnswer
+from repro.workloads import load_workload
 
 
 def _answers(n=3):
@@ -213,3 +215,72 @@ class TestDatasetCache:
         assert cache.clear() == 2
         assert cache.entries() == []
         assert cache.dataset_entries() == []
+
+
+class TestWorkloadCache:
+    """A workload entry is segmented like a dataset entry; the whole-entry
+    ``get_workload``/``put_workload`` read and write it in one call."""
+
+    def test_workload_roundtrip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = workload_key("join_order", 0)
+        workload = load_workload("join_order", 0)
+        assert cache.get_workload(key) is None
+        cache.put_workload(key, workload)
+        loaded = cache.get_workload(key)
+        assert loaded.name == workload.name
+        assert [q.text for q in loaded] == [q.text for q in workload]
+        assert [q.statement for q in loaded] == [q.statement for q in workload]
+        assert sorted(loaded.schemas) == sorted(workload.schemas)
+        assert cache.workload_entries() == [
+            tmp_path / "workloads" / key / "manifest.json"
+        ]
+        assert not list(tmp_path.glob("workloads/*.pkl"))
+
+    def test_workload_written_in_segments_reads_whole(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = workload_key("join_order", 0)
+        workload = load_workload("join_order", 0)
+        queries = workload.queries
+        counts = []
+        for index, start in enumerate(range(0, len(queries), 50)):
+            cache.put_workload_segment(key, index, queries[start : start + 50])
+            counts.append(len(queries[start : start + 50]))
+        assert cache.get_workload(key) is None  # not committed yet
+        cache.commit_workload_segments(
+            key, 50, counts, workload.name, workload.schemas
+        )
+        assert [q.query_id for q in cache.get_workload(key)] == [
+            q.query_id for q in queries
+        ]
+
+    def test_corrupt_workload_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = workload_key("join_order", 0)
+        cache.put_workload(key, load_workload("join_order", 0))
+        segment = tmp_path / "workloads" / key / "seg-00000.pkl"
+        segment.write_bytes(segment.read_bytes()[:100])
+        assert cache.get_workload(key) is None
+
+    def test_workload_without_schemas_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = workload_key("join_order", 0)
+        cache.put_workload(key, load_workload("join_order", 0))
+        (tmp_path / "workloads" / key / "schemas.pkl").unlink()
+        assert cache.get_workload_manifest(key) is None
+        assert cache.get_workload(key) is None
+
+    def test_clear_leaves_no_workload_segments(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("aa" + "0" * 62, _answers())
+        cache.put_workload(workload_key("join_order", 0), load_workload("join_order", 0))
+        # An uncommitted workload entry: segments without a manifest.
+        cache.put_workload_segment("e" * 64, 0, load_workload("spider", 0).queries)
+        assert len(cache.workload_entries()) == 1
+        assert cache.size_bytes() == sum(
+            path.stat().st_size for path in tmp_path.rglob("*") if path.is_file()
+        )
+        assert cache.clear() == 2
+        assert cache.workload_entries() == []
+        assert cache.segment_entries() == []
+        assert not (tmp_path / "workloads").exists()

@@ -168,12 +168,15 @@ class TestCorruptionRecoversViaRecompute:
             engine.run_cell("gpt4", "syntax_error", workload_name)
             assert engine.cached_cells == 1
 
-    def test_truncated_dataset_segment_recomputes_cleanly(self, tmp_path):
+    @pytest.mark.parametrize("index", (0, 2))
+    def test_truncated_dataset_segment_recomputes_cleanly(self, tmp_path, index):
+        """A damaged first segment, or one after segments already served
+        (which the fresh pass must skip)."""
         workload_name = "synthetic:default:n=10"
         config = EngineConfig(seed=SEED, chunk_size=25, cache_dir=tmp_path)
         with ExperimentEngine(config, (_gpt4(),)) as engine:
             reference = engine.run_cell("gpt4", "miss_token", workload_name)
-        segment = next(tmp_path.glob("datasets/*/seg-00000.pkl"))
+        segment = next(tmp_path.glob(f"datasets/*/seg-{index:05d}.pkl"))
         segment.write_bytes(segment.read_bytes()[:20])
         # Invalidate the cell entry too, so the dataset segments are
         # actually re-read (a warm cell serve streams the dataset).
@@ -185,3 +188,53 @@ class TestCorruptionRecoversViaRecompute:
             reference.binary,
             reference.typed,
         )
+
+    @pytest.mark.parametrize("damage", ("truncate", "delete", "schemas"))
+    def test_damaged_workload_segment_regenerates_cleanly(
+        self, tmp_path, monkeypatch, damage
+    ):
+        """A damaged workload entry is dropped mid-read; the queries go on
+        from a fresh generator pass (skipping those already served), the
+        metrics match a clean run, and the entry is stored again whole."""
+        import repro.workloads.synthetic.generator as generator
+        from repro.engine.cache import workload_key
+
+        workload_name = "synthetic:default:n=10"
+        with ExperimentEngine(
+            EngineConfig(seed=SEED, chunk_size=25, cache_dir=tmp_path / "clean"),
+            (_gpt4(),),
+        ) as engine:
+            reference = engine.run_cell("gpt4", "miss_token", workload_name)
+        config = EngineConfig(seed=SEED, chunk_size=25, cache_dir=tmp_path / "c")
+        with ExperimentEngine(config, (_gpt4(),)) as engine:
+            engine.run_cell("gpt4", "syntax_error", workload_name)
+        entry = tmp_path / "c" / "workloads" / workload_key(workload_name, SEED)
+        segment = entry / "seg-00002.pkl"
+        if damage == "truncate":
+            segment.write_bytes(segment.read_bytes()[:40])
+        elif damage == "delete":
+            segment.unlink()
+        else:
+            (entry / "schemas.pkl").write_bytes(b"\x80garbage")
+
+        passes = []
+        original = generator.iter_synthetic_queries
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "iter_synthetic_queries", counting)
+        with ExperimentEngine(config, (_gpt4(),)) as engine:
+            recovered = engine.run_cell("gpt4", "miss_token", workload_name)
+        assert len(passes) == 1
+        assert (recovered.binary, recovered.typed, recovered.location) == (
+            reference.binary,
+            reference.typed,
+            reference.location,
+        )
+        assert recovered.instance_count == reference.instance_count
+        stored = ResultCache(tmp_path / "c").get_workload(entry.name)
+        assert [q.query_id for q in stored] == [
+            q.query_id for q in load_workload(workload_name, SEED)
+        ]

@@ -9,7 +9,7 @@ them: the same task instances in the same order for every workload
 family and task, the same metrics from the engine, and interchangeable
 cache entries (a chunked run warms an unchunked run and vice versa).
 Each (task, workload) dataset is generated once per engine whatever
-the cache setting.
+the cache setting, and so is each workload.
 """
 
 from itertools import chain
@@ -18,6 +18,7 @@ import pytest
 
 import repro.engine.streaming as streaming
 from repro.engine import EngineConfig, ExperimentEngine
+from repro.engine.cache import ResultCache, dataset_key, workload_key
 from repro.llm.profiles import MODEL_PROFILES
 from repro.tasks.registry import build_dataset, tasks_for_workload
 from repro.tasks.streaming import iter_instance_chunks, iter_task_instances
@@ -40,9 +41,11 @@ WORKLOAD_FAMILIES = (
 #: size here), and 10**9 (a single chunk holding the whole stream).
 CHUNK_SIZES = (1, 7, 10**9)
 
-#: The invariance grid: two models, one task, 24 instances per cell.
+#: The invariance grid: two models, three tasks, 24 instances per cell.
+#: Chunked, the tasks after the first read the workload the first one
+#: stored (in the cache, else in the spill store).
 GRID_WORKLOAD = "synthetic:default:n=2"
-GRID_TASK = "syntax_error"
+GRID_TASKS = ("syntax_error", "query_equiv", "miss_token")
 GRID_N = 24
 
 _REFERENCE: dict[tuple[str, str], list] = {}
@@ -118,9 +121,10 @@ def _grid_reference():
         with ExperimentEngine(
             EngineConfig(seed=SEED), MODEL_PROFILES[:2]
         ) as engine:
-            grid = engine.run_task(GRID_TASK, (GRID_WORKLOAD,))
-        assert all(len(cell.answers) == GRID_N for cell in grid.values())
-        _GRID_REFERENCE.update(grid)
+            for task in GRID_TASKS:
+                grid = engine.run_task(task, (GRID_WORKLOAD,))
+                assert all(len(cell.answers) == GRID_N for cell in grid.values())
+                _GRID_REFERENCE[task] = grid
     return _GRID_REFERENCE
 
 
@@ -128,7 +132,7 @@ class TestChunkSizeInvariance:
     @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("chunk_size", (None, 1, 7, GRID_N, GRID_N + 5))
     def test_grid_identical_across_cache_states(self, tmp_path, chunk_size, workers):
-        reference = _grid_reference()
+        references = _grid_reference()
         for label, cache_dir in (
             ("no cache", None),
             ("cold", tmp_path / "cache"),
@@ -138,19 +142,24 @@ class TestChunkSizeInvariance:
                 seed=SEED, chunk_size=chunk_size, workers=workers, cache_dir=cache_dir
             )
             with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
-                grid = engine.run_task(GRID_TASK, (GRID_WORKLOAD,))
+                grids = {
+                    task: engine.run_task(task, (GRID_WORKLOAD,)) for task in GRID_TASKS
+                }
                 if label == "warm":
                     assert engine.computed_cells == 0, label
                 else:
                     assert engine.cached_cells == 0, label
-            assert list(grid) == list(reference), label
-            for key, cell in grid.items():
-                assert _metrics(cell) == _metrics(reference[key]), (label, key)
-                assert _count(cell) == GRID_N, (label, key)
-                if chunk_size is None:
-                    assert cell.answers == reference[key].answers, (label, key)
-                else:
-                    assert cell.chunk_count == -(-GRID_N // chunk_size), (label, key)
+            for task, grid in grids.items():
+                reference = references[task]
+                assert list(grid) == list(reference), (label, task)
+                for key, cell in grid.items():
+                    where = (label, task, key)
+                    assert _metrics(cell) == _metrics(reference[key]), where
+                    assert _count(cell) == GRID_N, where
+                    if chunk_size is None:
+                        assert cell.answers == reference[key].answers, where
+                    else:
+                        assert cell.chunk_count == -(-GRID_N // chunk_size), where
 
     @pytest.mark.parametrize(
         "task",
@@ -241,6 +250,95 @@ class TestDatasetGeneratedOnce:
             engine.run_task("syntax_error", ("synthetic:default:n=10",))
             assert engine.cached_cells == len(MODEL_PROFILES)
             assert engine.cache.stats.dataset_hits == 1
+
+
+class TestWorkloadGeneratedOnce:
+    """The synthetic generator runs once per workload and engine: the
+    first dataset built from a workload stores its queries (in the
+    cache, else in the engine's spill directory), and the workload's
+    other tasks read them."""
+
+    ALL_TASKS = (
+        "syntax_error",
+        "miss_token",
+        "query_equiv",
+        "performance_pred",
+        "query_exp",
+    )
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        import repro.workloads.synthetic.generator as generator
+
+        calls = []
+        original = generator.iter_synthetic_queries
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.canonical())
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(generator, "iter_synthetic_queries", counting)
+        return calls
+
+    def _grid(self, config, tasks):
+        with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+            return {
+                task: engine.run_task(task, (GRID_WORKLOAD,)) for task in tasks
+            }
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_five_task_grid_generates_the_workload_once(
+        self, tmp_path, passes, workers
+    ):
+        reference = None
+        for label, cache_dir, expected in (
+            ("cold", tmp_path / "cache", 1),
+            ("warm", tmp_path / "cache", 0),
+            ("no cache", None, 1),
+        ):
+            passes.clear()
+            config = EngineConfig(
+                seed=SEED, chunk_size=10, workers=workers, cache_dir=cache_dir
+            )
+            grids = self._grid(config, self.ALL_TASKS)
+            assert passes == [GRID_WORKLOAD] * expected, label
+            metrics = {
+                task: [_metrics(cell) for cell in grid.values()]
+                for task, grid in grids.items()
+            }
+            assert metrics == (reference or metrics), label
+            reference = metrics
+
+    @pytest.mark.parametrize("cache_first", (False, True))
+    def test_capped_run_never_stores_a_workload(self, tmp_path, passes, cache_first):
+        """A ``max_instances`` reader stops early, so a capped run writes
+        no workload segment; it builds the same capped datasets as
+        ``build_dataset`` and reads a complete entry when there is one."""
+        cache_dir = tmp_path / "cache"
+        if cache_first:
+            config = EngineConfig(seed=SEED, chunk_size=10, cache_dir=cache_dir)
+            self._grid(config, ("performance_pred",))
+        passes.clear()
+        config = EngineConfig(
+            seed=SEED, chunk_size=7, max_instances=17, cache_dir=cache_dir
+        )
+        grids = self._grid(config, ("syntax_error", "query_equiv"))
+        assert len(passes) == (0 if cache_first else 2)
+        cache = ResultCache(cache_dir)
+        assert len(cache.workload_entries()) == (1 if cache_first else 0)
+        if not cache_first:
+            assert not (cache_dir / "workloads").exists()
+        workload = load_workload(GRID_WORKLOAD, SEED)
+        for task, grid in grids.items():
+            capped = build_dataset(task, workload, seed=SEED, max_instances=17)
+            stored = cache.get_dataset(dataset_key(task, GRID_WORKLOAD, SEED, 17))
+            assert stored.instances == capped.instances, task
+            assert all(_count(cell) == 17 for cell in grid.values()), task
+        # An uncapped run on the same cache sees the whole workload.
+        config = EngineConfig(seed=SEED, chunk_size=7, cache_dir=cache_dir)
+        grid = self._grid(config, ("syntax_error",))["syntax_error"]
+        assert all(_count(cell) == GRID_N for cell in grid.values())
+        assert len(cache.get_workload(workload_key(GRID_WORKLOAD, SEED))) == GRID_N
 
 
 class TestCacheInterchangeability:

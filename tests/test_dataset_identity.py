@@ -8,10 +8,22 @@ AST-mutation sites (corruption injectors, counter-transforms, synthetic
 perturbations) were moved onto the shared transform primitives.  A
 mismatch here means the refactor changed observable evaluation data.
 
-One fingerprint has moved since, on purpose: ``("syntax_error", "sdss")``
-was re-recorded when the alias-ambiguous injector stopped stripping
-qualifiers inside nested SELECTs (the stripped reference was not
-ambiguous there, so the label was wrong).
+Some fingerprints have moved since, on purpose:
+
+* ``("syntax_error", "sdss")`` was re-recorded when the alias-ambiguous
+  injector stopped stripping qualifiers inside nested SELECTs (the
+  stripped reference was not ambiguous there, so the label was wrong);
+* ``syntax_error`` and ``query_equiv`` over ``sdss`` and ``sqlshare``
+  were re-recorded when the workload builders started to build negative
+  numbers as ``Unary('-', positive)``, the form the parser derives.
+  Before, 40 SDSS and 5 SQLShare queries kept a builder AST with a
+  negative ``Literal`` that differs from the AST of their own text, and
+  the corruption injectors and equivalence transforms drew their edit
+  sites from that tree.  The query texts did not change: one
+  ``syntax_error`` instance per workload and the ``query_equiv`` pairs
+  drawn after the first affected query (their generator shares one rng
+  across queries) now differ.  The synthetic fingerprints did not move:
+  the synthetic generator already normalised its trees after building.
 """
 
 from __future__ import annotations
@@ -21,14 +33,14 @@ import pytest
 from scripts.dataset_fingerprints import dataset_fingerprint
 
 EXPECTED_FINGERPRINTS = {
-    ("syntax_error", "sdss"): "2d7ed38a0b3513314ab34404839c46c2aa13a99d6b8146ee92c3fa48816eae93",
-    ("syntax_error", "sqlshare"): "53a3862ffde1145f850a51e0487b5b1609560baa04c6375d61799b88a61c5ec9",
+    ("syntax_error", "sdss"): "75716a115a0577a390807464cc8db78a42b1e2d44f063bef534118e8e218f1df",
+    ("syntax_error", "sqlshare"): "04a0c78beb859d303dd96bf2c85afa5e7f480842c34c7dc3a9e4639dc07e5063",
     ("syntax_error", "join_order"): "04e925acd623a2bdfa947a8d8144c9e1d34f544806a77fe54ed9a4138b62fa3c",
     ("miss_token", "sdss"): "4b7e02f5c9e174158133ad2fe86ed6c6002b27e5033d39fb7110c2bbc3a32901",
     ("miss_token", "sqlshare"): "87e47324c60ad94cf2f6df012d49aece3d79bd54ec7dcdca7cb3bb228a60c536",
     ("miss_token", "join_order"): "ad0d581b1892eb5792d566862a143d1cd08cc79f72ff90a303e036644d4d6349",
-    ("query_equiv", "sdss"): "a384d1ea85da491e7e8ef40898c6556bae3ed3cc32ec20f9c28bb63ec79eb0cc",
-    ("query_equiv", "sqlshare"): "db160fa427da1ef7ad5b747ffc93ede6e612e98535934f4569dc85ef4fc750a4",
+    ("query_equiv", "sdss"): "cd87063111da2f5ba395d83b5f9155b9fa61f605f7d4ccfc176495793829b4a6",
+    ("query_equiv", "sqlshare"): "546928275a1b60ad8144dd4b0e4ec93bfd0192d2b0294cf4a902dda5ebbd6450",
     ("query_equiv", "join_order"): "b49ecf89bcf0deb546143e42c1c6b3b4fe7780f9d54b026f5d20d8ff1e1871a6",
     ("performance_pred", "sdss"): "7bff4c72b885b8254f5edad1f927276d3f89ad1e8ada95b11cafa6642eeaa05d",
     ("query_exp", "spider"): "e6fa5917396996bd031c3642e2f15802ddd03c2df224c227ffcf9263701c5d0c",

@@ -7,12 +7,14 @@ import pytest
 from repro.analysis import SemanticAnalyzer, paper_violations
 from repro.schema import IMDB_SCHEMA, SDSS_SCHEMA
 from repro.sql import nodes as n
+from repro.sql.parser import try_parse
 from repro.sql.render import render
 from repro.workloads.builders import (
     SourceCtx,
     and_all,
     append_condition,
     fk_join_path,
+    number_literal,
     numeric_predicate,
     pad_select_to_words,
     random_predicate,
@@ -25,6 +27,14 @@ from repro.workloads.builders import (
 @pytest.fixture
 def spec_ctx():
     return SourceCtx(table=SDSS_SCHEMA.table("SpecObj"), alias="s")
+
+
+@pytest.mark.parametrize("value", (7, -7, 20.5, -20.5, 0.0, -0.0, -0.0004, 1.23456))
+def test_number_literal_is_in_parser_normal_form(value):
+    """The tree a builder makes is the one the parser derives from its text."""
+    literal = number_literal(value)
+    statement = try_parse(f"SELECT a FROM t WHERE a > {render(literal)}")
+    assert statement.query.body.where.right == literal
 
 
 class TestPredicates:

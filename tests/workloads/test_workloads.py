@@ -3,6 +3,8 @@
 import pytest
 
 from repro.analysis import SemanticAnalyzer, paper_violations
+from repro.sql.parser import try_parse
+from repro.sql.render import render
 from repro.workloads import (
     CASE_STUDY_QUERIES,
     load_all_workloads,
@@ -63,6 +65,21 @@ class TestWellFormedness:
             analyzer = SemanticAnalyzer(workload.schema_for(query))
             violations = paper_violations(analyzer.analyze(query.statement))
             assert violations == [], (query.query_id, query.text, violations)
+
+    @pytest.mark.parametrize(
+        "name", ["sdss", "sqlshare", "join_order", "spider"]
+    )
+    def test_parse_render_round_trip_is_exact(self, workloads, name):
+        """A builder's AST is the one the parser derives from its text.
+
+        Negative numbers must be built as ``Unary('-', positive)``, the
+        parser's normal form; a negative ``Literal`` renders to the same
+        text but compares unequal to the reparsed tree.
+        """
+        for query in workloads[name]:
+            statement = query.statement
+            assert render(statement) == query.text, query.query_id
+            assert try_parse(render(statement)) == statement, query.query_id
 
 
 class TestSdssDistributions:
