@@ -470,9 +470,13 @@ def check_baseline(seed: int) -> int:
 def scale_smoke(seed: int) -> int:
     """CI smoke: a 2-worker streamed run completes in bounded memory.
 
-    On a multi-CPU host the work queue must actually spread chunks over
+    On a multi-CPU host the work queue must actually spread work over
     more than one worker process; on a 1-CPU host that assertion is
     skipped with a notice (pool scheduling may legitimately serialise).
+    ``workers_used`` counts every worker that ran a work item, a chunk
+    or a build.  The cell's dataset is built by one worker while the
+    other answers the chunks cut from its announced segments, so two
+    workers used is real parallelism: generation and evaluation overlap.
     """
     n = 20_000
     baseline = _committed_baseline_mb(100_000)

@@ -417,7 +417,7 @@ class ResultCache:
         manifest = manifest or self._read_manifest(directory, kind)
         if manifest is None:
             raise CacheSegmentError(f"no committed {kind} in {directory}")
-        for index, count in enumerate(manifest["counts"]):
+        for index, count in enumerate(manifest["counts"], manifest.get("first", 0)):
             path = os.path.join(directory, self._segment_name(index, suffix))
             try:
                 items = load(path)
@@ -493,8 +493,10 @@ class ResultCache:
     def iter_dataset_segments(self, key: str, manifest: Optional[dict] = None):
         """Yield committed dataset segments in order.
 
-        ``manifest`` saves re-reading one the caller already holds.
-        Raises :class:`CacheSegmentError` when a segment is missing,
+        ``manifest`` saves re-reading one the caller already holds.  It
+        may also be partial, ``{"first": i, "counts": [...]}``: the
+        segments from ``i`` on that a build still writing the entry has
+        announced.  Raises :class:`CacheSegmentError` when a segment is missing,
         truncated, or the wrong length — callers recompute from scratch.
         """
         return self._iter_segments(

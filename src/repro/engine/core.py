@@ -23,9 +23,11 @@ endpoint or a record/replay fixture store otherwise.
 from __future__ import annotations
 
 import tempfile
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.engine.cache import (
     ResultCache,
@@ -34,7 +36,6 @@ from repro.engine.cache import (
     prompt_fingerprint,
     workload_key,
 )
-from repro.engine.worker import DatasetTask
 from repro.lifecycle import (
     CELL_COMMITTED,
     CELL_DEGRADED,
@@ -229,9 +230,12 @@ class ExperimentEngine:
         self._backend_state_memo: Optional[str] = None
         self._by_name = {profile.name: profile for profile in models}
         self._streaming: Optional["StreamingEvaluator"] = None
-        #: Chunked runs without a cache keep dataset and workload
-        #: segments here, so a dataset read by several cells, and a
-        #: workload read by several tasks, is generated once.
+        #: The pass of :meth:`plan_tasks`: tasks still to serve, their
+        #: workloads, and the pass's (task, grid) iterator.
+        self._plan: Optional[tuple[deque, Optional[tuple[str, ...]], Iterator]] = None
+        #: Runs without a cache keep dataset and workload segments
+        #: here, so a dataset read by several cells, and a workload
+        #: read by several tasks, is generated once.
         self._spill: Optional[ResultCache] = None
         self._spill_dir: Optional[tempfile.TemporaryDirectory] = None
 
@@ -286,11 +290,14 @@ class ExperimentEngine:
             backend_state=self._backend_state(),
         )
 
-    def _spill_store(self) -> ResultCache:
-        """The private segment store of a chunked run without a cache.
+    def _store(self) -> ResultCache:
+        """Where built datasets and workloads are stored.
 
-        Removed by :meth:`close`, or when the engine is collected.
+        The cache, else a private spill directory, which :meth:`close`
+        removes (as does collecting the engine).
         """
+        if self.cache is not None:
+            return self.cache
         if self._spill is None:
             self._spill_dir = tempfile.TemporaryDirectory(prefix="repro-spill-")
             self._spill = ResultCache(Path(self._spill_dir.name))
@@ -435,6 +442,7 @@ class ExperimentEngine:
         """Shut down the worker pool and backends (idempotent)."""
         # The evaluator survives close() so its stats stay readable for
         # the run record; only its worker pool is torn down.
+        self._end_plan()
         if self._streaming is not None:
             self._streaming.close()
         if self._spill_dir is not None:
@@ -462,10 +470,10 @@ class ExperimentEngine:
         prompt: Optional[PromptTemplate] = None,
     ) -> "CellResult":
         """Evaluate one cell (through the cache and the work queue)."""
-        grid = self._evaluate_cells(
+        grids = self._evaluate_cells(
             [(self.profile(model_name), task, workload_name)], prompt
         )
-        return grid[(model_name, workload_name)]
+        return grids[task][(model_name, workload_name)]
 
     def run_task(
         self,
@@ -476,35 +484,105 @@ class ExperimentEngine:
         """Evaluate all models on all of a task's workloads.
 
         Chunks of the next cells are in flight while a cell finishes, so
-        worker utilisation does not dip at cell boundaries.
+        worker utilisation does not dip at cell boundaries.  The next
+        task of a :meth:`plan_tasks` pass is served from that pass.
         """
-        names = workloads or TASK_WORKLOADS[task]
-        cells = [
+        if self._plan is not None:
+            tasks, planned_workloads, grids = self._plan
+            if (task, workloads, prompt) == (tasks[0], planned_workloads, None):
+                tasks.popleft()
+                try:
+                    _, grid = next(grids)
+                    if not tasks:
+                        self._plan = None
+                        next(grids, None)  # let the pass finish
+                except BaseException:
+                    self._plan = None
+                    raise
+                return grid
+        return self._evaluate_cells(self._cells((task,), workloads), prompt).get(task, {})
+
+    def plan_tasks(
+        self, tasks: Sequence[str], workloads: Optional[tuple[str, ...]] = None
+    ) -> None:
+        """Serve the next :meth:`run_task` calls from one scheduler pass.
+
+        The calls must ask for ``tasks`` in order, each with
+        ``workloads`` and no prompt.  Each returns as soon as its task's
+        last cell commits, while the pass goes on building and
+        evaluating the later tasks' cells (see :meth:`run_tasks`).  Any
+        other evaluation, and :meth:`close`, ends the plan first.
+        """
+        self._end_plan()
+        tasks = tuple(dict.fromkeys(tasks))
+        if tasks:
+            self._plan = (deque(tasks), workloads, self.run_tasks(tasks, workloads))
+
+    def _end_plan(self) -> None:
+        """Stop an unfinished plan's pass; its uncommitted work is dropped."""
+        if self._plan is not None:
+            grids = self._plan[2]
+            self._plan = None
+            grids.close()
+
+    def run_tasks(
+        self,
+        tasks: Sequence[str],
+        workloads: Optional[tuple[str, ...]] = None,
+        prompt: Optional[PromptTemplate] = None,
+    ) -> Iterator[tuple[str, dict[tuple[str, str], "CellResult"]]]:
+        """Evaluate several tasks' grids in one scheduler pass.
+
+        Cells run task-major, in the order :meth:`run_task` would run
+        them one task at a time, and give the same results; one pass
+        lets a later task's dataset build while earlier tasks are being
+        evaluated.  Yields ``(task, grid)`` as each task's last cell
+        commits.
+        """
+        return self._serve(self._cells(tasks, workloads), prompt)
+
+    def _cells(
+        self, tasks: Sequence[str], workloads: Optional[tuple[str, ...]]
+    ) -> list[tuple[ModelProfile, str, str]]:
+        """The grid of ``tasks`` in request order: task, model, workload."""
+        return [
             (profile, task, workload_name)
+            for task in dict.fromkeys(tasks)
             for profile in self.models
-            for workload_name in names
+            for workload_name in (workloads or TASK_WORKLOADS[task])
         ]
-        return self._evaluate_cells(cells, prompt)
 
     def _evaluate_cells(
         self,
         cells: Sequence[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
-    ) -> dict[tuple[str, str], "CellResult"]:
-        """Serve cells through the scheduler; the grid is in request order.
+    ) -> dict[str, dict[tuple[str, str], "CellResult"]]:
+        """Serve cells through the scheduler: every task's grid."""
+        self._end_plan()
+        return dict(self._serve(cells, prompt))
 
-        Absorbed failed cells (``on_cell_error=skip|degrade``) are absent.
+    def _serve(
+        self,
+        cells: Sequence[tuple[ModelProfile, str, str]],
+        prompt: Optional[PromptTemplate],
+    ) -> Iterator[tuple[str, dict[tuple[str, str], "CellResult"]]]:
+        """Serve cells through the scheduler, committing in request order.
+
+        Yields ``(task, grid)`` once every cell of the task is committed
+        or absorbed as failed (``on_cell_error=skip|degrade``; such
+        cells are absent from the grid).
         """
-        if self.config.workers > 1 and self.config.chunk_size is None:
-            self._prefetch_datasets({(task, workload) for _, task, workload in cells})
-        grid: dict[tuple[str, str], "CellResult"] = {}
+        wanted = Counter(task for _, task, _ in cells)
+        pending = deque(wanted)
+        grids: dict[str, dict[tuple[str, str], "CellResult"]] = {}
+        settled: Counter = Counter()
 
         def commit(cell: "_Cell") -> None:
             if cell.cached:
                 self.cached_cells += 1
             else:
                 self.computed_cells += 1
-            grid[(cell.profile.name, cell.workload)] = cell.result
+            grids.setdefault(cell.task, {})[(cell.profile.name, cell.workload)] = cell.result
             # Every served cell and its provenance, for the reporting layer.
             self.results[(cell.profile.name, cell.task, cell.workload)] = cell.result
             self.cell_log.append(
@@ -521,73 +599,20 @@ class ExperimentEngine:
             self._journal_cell(cell.profile.name, cell.task, cell.workload, CELL_COMMITTED)
             if self.on_cell_commit is not None:
                 self.on_cell_commit()
+            settled[cell.task] += 1
 
         def failed(cell: "_Cell") -> None:
             if not self._is_cell_error(cell.error) or not self._absorb_cell_error(
                 cell.profile.name, cell.task, cell.workload, cell.error
             ):
                 raise cell.error
+            settled[cell.task] += 1
 
-        self.streaming.evaluate(list(cells), prompt, commit, failed)
-        return grid
-
-    def _prefetch_datasets(self, needed: set[tuple[str, str]]) -> None:
-        """Materialise missing datasets: disk cache first, then workers.
-
-        Dataset construction (parsing, corruption injection, pair
-        generation) dominates a cold grid run, and ``build_dataset`` is
-        deterministic — so each (task, workload) dataset that is neither
-        in memory nor on disk is built exactly once, in a worker, with
-        the builds overlapping each other, and shipped back.
-        """
-        missing = []
-        for key in sorted(key for key in needed if key not in self._datasets):
-            cached = (
-                self.cache.get_dataset(self._dataset_disk_key(*key))
-                if self.cache
-                else None
-            )
-            if cached is not None:
-                self._datasets[key] = cached
-            else:
-                missing.append(key)
-        if not missing:
-            return
-        # One work item per *workload*, building all of its missing
-        # datasets: the worker loads the workload once and its analysis
-        # cache is shared across the workload's tasks (which reuse the
-        # same query texts).  One item per dataset would instead have
-        # every worker re-load and re-parse the same workload.  With a
-        # cache the building worker also persists what it built.
-        by_workload: dict[str, list[str]] = {}
-        for task, workload_name in missing:
-            by_workload.setdefault(workload_name, []).append(task)
-        items = [
-            DatasetTask(
-                chunk=index,
-                workload=workload_name,
-                seed=self.config.seed,
-                tasks=tuple(
-                    (task, self._dataset_disk_key(task, workload_name))
-                    for task in tasks
-                ),
-                max_instances=self.config.max_instances,
-                cache_root=str(self.config.cache_dir) if self.cache else None,
-                workload_cache_key=self._workload_disk_key(workload_name),
-            )
-            for index, (workload_name, tasks) in enumerate(by_workload.items())
-        ]
-
-        def built(item: DatasetTask, datasets: list[TaskDataset]) -> None:
-            for (task, _), dataset in zip(item.tasks, datasets):
-                self._datasets[(task, item.workload)] = dataset
-
-        def failed(item: DatasetTask, error: BaseException) -> None:
-            raise error
-
-        # One build per worker at a time: builds are long and uneven, so
-        # an idle worker must be able to take the next one.
-        self.streaming._run_pool(iter(items), built, failed, prefetch=1)
+        steps = self.streaming.evaluate(list(cells), prompt, commit, failed)
+        for _ in chain(steps, [None]):
+            while pending and settled[pending[0]] == wanted[pending[0]]:
+                task = pending.popleft()
+                yield task, grids.get(task, {})
 
     def _evaluate_serial(
         self,

@@ -1,6 +1,7 @@
 """The engine's scheduler: every cell is evaluated chunk by chunk.
 
-A grid request is a list of cells in request order.  Each cell is
+A grid request is a list of cells in request order — for a
+``--workload`` run, every task's cells in one pass.  Each cell is
 served from the cell cache or computed; a computed cell is cut into
 chunks, each chunk is answered by
 :func:`repro.engine.worker.evaluate_shard` (or, at ``workers=1``, by
@@ -13,42 +14,49 @@ Whether the run is chunked (``EngineConfig.chunk_size`` set, which
 workloads) decides two things:
 
 * **what the cell keeps** — without a chunk size the cell's dataset is
-  built whole (:meth:`ExperimentEngine.dataset`) and the cell keeps
-  every answer, a :class:`~repro.evalfw.runner.CellResult`, which the
-  per-instance artifacts need.  Chunked, instances stream from the task
-  generators (or the cached dataset segments) ``chunk_size`` at a time
-  and the cell keeps counts only, a
+  built whole and the cell keeps every answer, a
+  :class:`~repro.evalfw.runner.CellResult`, which the per-instance
+  artifacts need.  Chunked, instances come ``chunk_size`` at a time
+  from the dataset's segments (or, in-process, straight off the task
+  generators) and the cell keeps counts only, a
   :class:`~repro.evalfw.accumulate.StreamedCellResult`, so memory is
   bounded by the chunk size;
 * **what a chunk carries** — chunked, its instances inline.  Without a
   chunk size, chunks are ``MATERIALISED_CHUNK`` instances, and with a
   cache and several workers they name a dataset slice the worker loads
-  itself; the datasets were built in the workers beforehand, one work
-  item per workload.
+  itself.
 
 Either way each workload and each dataset is generated once per
-engine.  Chunked, a dataset's chunks are stored as segments — in the
-cache, else in a private spill directory when another cell of the
-request will read them — and so are the queries of the workload it was
-built from (uncapped runs only), which the workload's other tasks read
-instead of running the generator again.
+engine, by one :class:`~repro.engine.worker.BuildTask`.  With
+``workers > 1`` each dataset the request needs that is not at hand is
+a build work item run by a queue worker: unchunked, it ships the
+dataset back; chunked, it stores the dataset's segments (in the cache,
+else a private spill directory) and announces each one, and the cells'
+chunks are cut from the announced segments while the build goes on.
+At ``workers=1`` the same build runs inline, chunk by chunk.  The first
+build of a workload stores its queries, and the workload's other
+builds go out only when it is done and read them.
 
 Scheduling: with ``workers > 1`` work items go to a pool of queue
 workers (:func:`repro.engine.worker.stream_worker_main`).  Dispatch is
 pull-based with bounded in-flight work: a worker holds at most
 ``PREFETCH`` pending items, and the producer only advances when a slot
 frees up — that bound IS the backpressure that keeps parent memory
-flat.  The producer runs across cell boundaries, so the next cells'
-chunks are in flight while the current cell finishes.
+flat.  Builds go out before further chunks, and a worker holding a
+build takes no chunk behind it.  The producer runs across cell
+boundaries, and a cell waiting for a build does not hold up the cells
+after it.
 
-Fault model: a worker that dies mid-chunk is detected via its exit
-code; its assigned chunks are re-dispatched to a fresh worker up to
-``MAX_ATTEMPTS`` times, after which the chunk's cell fails with
+Fault model: a worker that dies mid-item is detected via its exit
+code; its assigned items are re-dispatched to a fresh worker up to
+``MAX_ATTEMPTS`` times, after which the item's cells fail with
 :class:`StreamWorkerCrash`.  A worker that *reports* an exception fails
-the chunk's cell with :class:`StreamChunkError` (or with the backend
-error itself).  A failed cell's cache segments are discarded — no
-partial writes — and the engine's ``on_cell_error`` policy decides
-whether the grid goes on.
+the chunk's cell, or every cell of the build's dataset, with
+:class:`StreamChunkError` (or with the backend error itself).  Failed
+cells' and builds' segments are discarded — no partial writes — and
+the engine's ``on_cell_error`` policy decides whether the grid goes
+on.  When the grid stops early, workers holding a build are stopped
+rather than drained.
 """
 
 from __future__ import annotations
@@ -61,16 +69,20 @@ import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.engine.cache import CacheSegmentError
-from repro.engine.worker import ChunkTask, ShardSpec, stream_worker_main
+from repro.engine.worker import (
+    BuildTask,
+    ChunkTask,
+    ShardSpec,
+    read_or_regenerate,
+    stream_worker_main,
+)
 from repro.llm.backends import DeadlineExceededError
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
 from repro.tasks.base import TaskDataset
-from repro.tasks.streaming import iter_instance_chunks
-from repro.workloads.streaming import WorkloadStream, stream_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExperimentEngine
@@ -89,6 +101,13 @@ POLL_SECONDS = 0.1
 #: paper-workload cell (a few hundred instances) spreads across all
 #: workers, large enough that per-chunk dispatch overhead stays small.
 MATERIALISED_CHUNK = 64
+
+#: What the producer yields when nothing can go out until a build
+#: announces more of its dataset, and when a cell it finished producing
+#: may have committed (a cache hit sends no work out), so that the
+#: executors hand control back to the caller at once.
+_BLOCKED = object()
+_SETTLED = object()
 
 
 class StreamError(RuntimeError):
@@ -110,12 +129,15 @@ class StreamFault:
     ``once=True`` (the default) arms the fault for the first dispatch
     only, so a crash is followed by a clean re-dispatch; ``once=False``
     keeps the fault on every dispatch of that chunk, which exhausts the
-    re-dispatch budget and must surface as a named error.
+    re-dispatch budget and must surface as a named error.  With
+    ``build=True`` the fault hits the ``chunk``-th dataset build of a
+    request instead (0 = the first, in request order).
     """
 
     kind: str  # "crash" | "poison"
     chunk: int = 0
     once: bool = True
+    build: bool = False
     fired: int = field(default=0, repr=False)
 
 
@@ -127,6 +149,9 @@ class StreamStats:
     chunks: int = 0
     instances: int = 0
     redispatched: int = 0
+    #: Datasets this engine generated, as opposed to read from the store.
+    builds: int = 0
+    #: Every process that ran a work item (a chunk or a build).
     worker_pids: set = field(default_factory=set)
 
     def as_dict(self) -> dict[str, int]:
@@ -135,6 +160,7 @@ class StreamStats:
             "chunks": self.chunks,
             "instances": self.instances,
             "redispatched": self.redispatched,
+            "builds": self.builds,
             "workers_used": len(self.worker_pids),
         }
 
@@ -163,6 +189,11 @@ class _QueueWorker:
 
     def is_dead(self) -> bool:
         return self.process.exitcode is not None
+
+    @property
+    def holds_build(self) -> bool:
+        """A worker with a build in hand takes no chunk behind it."""
+        return any(isinstance(item, BuildTask) for item in self.assigned)
 
     def stop(self, timeout: float = 5.0) -> None:
         if not self.is_dead():
@@ -232,24 +263,24 @@ def _rechunk(segments: Iterator[list], chunk_size: int) -> Iterator[list]:
         yield chunk
 
 
-def _read_or_regenerate(
-    store, key: str, segments: Iterator[list], regenerate: Callable[[], Iterator]
-) -> Iterator[Iterable]:
-    """A committed entry's ``segments``, in order.
+def _describe(item) -> str:
+    if isinstance(item, BuildTask):
+        return f"the {item.task} build over {item.workload}"
+    return f"chunk {item.chunk}"
 
-    A segment that turns out unreadable mid-read drops the entry; the
-    rest comes as one last iterable from ``regenerate()``, a fresh
-    generator pass, skipping the items already served.
-    """
-    served = 0
-    try:
-        for segment in segments:
-            yield segment
-            served += len(segment)
-        return
-    except CacheSegmentError:
-        store.discard_segments(key)
-    yield islice(regenerate(), served, None)
+
+@dataclass
+class _Build:
+    """Parent-side state of one dataset build on the work queue."""
+
+    item: BuildTask
+    #: Position among the request's builds (for fault injection).
+    index: int
+    #: Sizes of the segments announced so far (chunked builds).
+    counts: list[int] = field(default_factory=list)
+    dispatched: bool = False
+    done: bool = False
+    error: Optional[BaseException] = None
 
 
 @dataclass
@@ -298,6 +329,12 @@ class StreamingEvaluator:
         self.fault: Optional[StreamFault] = None
         self._pool: Optional[StreamPool] = None
         self._cell_counter = 0
+        #: The current request's unfinished builds, by (task, workload),
+        #: and the workloads whose queries are stored (committed).
+        self._builds: dict[tuple[str, str], _Build] = {}
+        self._stored: set[str] = set()
+        #: Builds running inline (in-process), by dataset key.
+        self._inline: dict[str, BuildTask] = {}
 
     @property
     def engine(self) -> "ExperimentEngine":
@@ -323,12 +360,16 @@ class StreamingEvaluator:
         prompt: Optional[PromptTemplate],
         on_commit: Callable[["_Cell"], None],
         on_error: Callable[["_Cell"], None],
-    ) -> None:
+    ) -> Iterator[None]:
         """Serve ``cells``, committing each in request order.
 
         ``on_commit`` receives every served cell (``result`` set);
         ``on_error`` every failed one (``error`` set) and either raises,
         which ends the grid, or returns to go on with the next cell.
+        A generator: it yields after every scheduling step, so a caller
+        can act on the cells committed so far while the work goes on,
+        and returns when every cell is committed.  Closing it early
+        stops the work and discards what is uncommitted.
         """
         states = []
         for profile, task, workload in cells:
@@ -337,6 +378,9 @@ class StreamingEvaluator:
         by_ident = {cell.ident: cell for cell in states}
         readers = Counter((task, workload) for _, task, workload in cells)
         committed = 0
+        pooled = self.engine.config.workers > 1
+        if pooled:
+            self._plan_builds(cells)
 
         def flush() -> None:
             nonlocal committed
@@ -350,17 +394,49 @@ class StreamingEvaluator:
                     self._finish(cell)
                     on_commit(cell)
 
-        def produce() -> Iterator[ChunkTask]:
-            for cell in states:
-                readers[(cell.task, cell.workload)] -= 1
-                self.engine._checkpoint()
-                yield from self._open(
-                    cell, prompt, shared=readers[(cell.task, cell.workload)] > 0
-                )
-                cell.produced = True
-                flush()
+        def produce() -> Iterator:
+            """Builds first, then the opened cells' chunks in request order.
 
-        def on_done(item: ChunkTask, payload) -> None:
+            A cell waiting for its dataset's build does not hold up the
+            cells after it: while every opened cell waits, the next one
+            is opened, and ``_BLOCKED`` means all of them wait.
+            """
+            waiting = deque(states)
+            opened: list[tuple[_Cell, Iterator]] = []
+            while True:
+                build = self._next_build()
+                if build is not None:
+                    yield build
+                    continue
+                for entry in opened:
+                    item = next(entry[1], None)
+                    if item is None:
+                        opened.remove(entry)
+                        entry[0].produced = True
+                        flush()
+                        yield _SETTLED
+                        break
+                    if item is not _BLOCKED:
+                        yield item
+                        break
+                else:
+                    if waiting:
+                        cell = waiting.popleft()
+                        dataset = (cell.task, cell.workload)
+                        readers[dataset] -= 1
+                        self.engine._checkpoint()
+                        opened.append(
+                            (cell, self._open(cell, prompt, shared=readers[dataset] > 0))
+                        )
+                    elif opened:
+                        yield _BLOCKED
+                    else:
+                        return
+
+        def on_done(item, payload) -> None:
+            if isinstance(item, BuildTask):
+                self._built(item, payload)
+                return
             cell = by_ident[item.cell]
             if cell.error is None:
                 answers, seconds = payload
@@ -374,17 +450,25 @@ class StreamingEvaluator:
                     cell.next_merge += 1
             flush()
 
-        def on_failed(item: ChunkTask, error: BaseException) -> None:
-            cell = by_ident[item.cell]
-            if cell.error is None:
-                cell.error = error
+        def on_failed(item, error: BaseException) -> None:
+            if isinstance(item, BuildTask):
+                # Every cell that reads the dataset fails with its build.
+                self._builds[(item.task, item.workload)].error = error
+                self._discard_build(item)
+                for cell in states:
+                    if (cell.task, cell.workload) == (item.task, item.workload) and not cell.done:
+                        cell.error = error
+            else:
+                cell = by_ident[item.cell]
+                if cell.error is None:
+                    cell.error = error
             flush()
 
         try:
-            if self.engine.config.workers == 1:
-                self._run_in_process(produce(), by_ident, on_done, on_failed)
+            if pooled:
+                yield from self._run_pool(produce(), on_done, on_failed)
             else:
-                self._run_pool(produce(), on_done, on_failed)
+                yield from self._run_in_process(produce(), by_ident, on_done, on_failed)
             flush()
         except BaseException:
             # No partial cache writes: a cell's manifest is written only
@@ -393,17 +477,162 @@ class StreamingEvaluator:
             for cell in states[committed:]:
                 self._discard(cell)
             raise
+        finally:
+            # And those of unfinished builds: the pool has stopped the
+            # workers running them, and an inline build left unfinished
+            # was abandoned by its failed cell.
+            unfinished = [b.item for b in self._builds.values() if b.error is None]
+            for item in unfinished + list(self._inline.values()):
+                self._discard_build(item)
+            self._builds = {}
+            self._inline = {}
+
+    # -- builds ------------------------------------------------------------
+
+    def _build_item(self, task: str, workload: str, ident: int = 0) -> BuildTask:
+        """The build of the (task, workload) dataset under this engine."""
+        engine = self.engine
+        config = engine.config
+        return BuildTask(
+            cell=ident,
+            task=task,
+            workload=workload,
+            seed=config.seed,
+            max_instances=config.max_instances,
+            dataset_key=engine._dataset_disk_key(task, workload),
+            workload_cache_key=engine._workload_disk_key(workload),
+            store_root=str(engine._store().root),
+            cache_root=str(engine.cache.root) if engine.cache is not None else None,
+            chunk_size=config.chunk_size,
+        )
+
+    def _plan_builds(self, cells) -> None:
+        """One build for each dataset of the request not already at hand.
+
+        At hand means committed in the store (chunked), or in memory or
+        the cache (unchunked).  Builds are listed in request order.
+        """
+        engine = self.engine
+        store = engine._store()
+        chunked = engine.config.chunk_size is not None
+        self._builds = {}
+        self._stored = set()
+        for task, workload in dict.fromkeys((task, workload) for _, task, workload in cells):
+            dkey = engine._dataset_disk_key(task, workload)
+            if chunked:
+                if store.get_dataset_manifest(dkey) is not None:
+                    continue
+            elif (task, workload) in engine._datasets:
+                continue
+            elif engine.cache is not None:
+                dataset = engine.cache.get_dataset(dkey)
+                if dataset is not None:
+                    engine._datasets[(task, workload)] = dataset
+                    continue
+            self._cell_counter += 1
+            item = self._build_item(task, workload, self._cell_counter)
+            self._builds[(task, workload)] = _Build(item, index=len(self._builds))
+            if store.get_workload_manifest(item.workload_cache_key) is not None:
+                self._stored.add(workload)
+
+    def _next_build(self) -> Optional[BuildTask]:
+        """The first build in request order that may go out now.
+
+        A build that would store its workload's queries waits while
+        another build is storing them, so two workers never generate
+        the same workload; it goes out when that build is done.
+        """
+        for build in self._builds.values():
+            item = build.item
+            if build.dispatched or (
+                item.stores_workload
+                and item.workload not in self._stored
+                and any(
+                    other.dispatched
+                    and not other.done
+                    and other.error is None
+                    and other.item.workload == item.workload
+                    for other in self._builds.values()
+                )
+            ):
+                continue
+            build.dispatched = True
+            self.stats.builds += 1
+            return dataclasses.replace(item, fault=self._armed(build.index, build=True))
+        return None
+
+    def _announced(self, build: _Build) -> Iterator:
+        """A building dataset's segments, as its build announces them.
+
+        Yields ``_BLOCKED`` while the next segment is not written yet,
+        and stops when the build fails (its cells fail with it).
+        """
+        store = self.engine._store()
+        read = 0
+        while build.error is None:
+            if read < len(build.counts):
+                yield from store.iter_dataset_segments(
+                    build.item.dataset_key,
+                    {"first": read, "counts": build.counts[read : read + 1]},
+                )
+                read += 1
+            elif build.done:
+                return
+            else:
+                yield _BLOCKED
+
+    def _on_segment(self, item: BuildTask, payload: tuple[int, int]) -> None:
+        """Note an announced segment; a re-dispatched build repeats some."""
+        index, count = payload
+        build = self._builds.get((item.task, item.workload))
+        if build is not None and index == len(build.counts):
+            build.counts.append(count)
+
+    def _built(self, item: BuildTask, dataset: Optional[TaskDataset]) -> None:
+        """A build is done: its dataset is committed (or, unchunked, here)."""
+        build = self._builds.pop((item.task, item.workload))
+        build.done = True
+        if dataset is not None:
+            self.engine._datasets[(item.task, item.workload)] = dataset
+        if item.stores_workload:
+            self._stored.add(item.workload)
+
+    def _discard_build(self, item: BuildTask) -> None:
+        """Drop an unfinished build's segments, and its workload's if
+        uncommitted."""
+        store = self.engine._store()
+        store.discard_segments(item.dataset_key)
+        if item.stores_workload and store.get_workload_manifest(item.workload_cache_key) is None:
+            store.discard_segments(item.workload_cache_key)
+
+    def _armed(self, index: int, build: bool = False) -> Optional[str]:
+        """The injected fault for this chunk or build, if it is armed."""
+        fault = self.fault
+        if (
+            fault is None
+            or fault.build != build
+            or fault.chunk != index
+            or (fault.once and fault.fired)
+        ):
+            return None
+        fault.fired += 1
+        return fault.kind
 
     # -- one cell ----------------------------------------------------------
 
     def _open(
         self, cell: _Cell, prompt: Optional[PromptTemplate], shared: bool
-    ) -> Iterator[ChunkTask]:
-        """Serve ``cell`` from the cache, or yield its chunk tasks."""
+    ) -> Iterator:
+        """Serve ``cell`` from the cache, or yield its chunk tasks.
+
+        Yields ``_BLOCKED`` while the cell waits for its dataset's build.
+        """
         from repro.lifecycle import CELL_IN_FLIGHT
 
         engine = self.engine
         config = engine.config
+        if cell.error is not None:  # its dataset's build failed
+            return
         if engine.cache is not None and not engine._backend_is_recording():
             # A recording run's purpose is its side effect (writing
             # fixtures through the inner backend), so cached cells must
@@ -412,11 +641,27 @@ class StreamingEvaluator:
             # skips the cell cache in both directions.
             cell.key = engine._cell_key(cell.profile, cell.task, cell.workload, prompt)
         chunked = config.chunk_size is not None
+        warm = cell.key is not None
+        build = self._builds.get((cell.task, cell.workload))
+        if build is not None:
+            if chunked and warm:
+                warm = engine.cache.get_cell_manifest(cell.key) is not None
+            if warm or not chunked:
+                # The whole dataset first: an unchunked cell takes it
+                # whole, and cached answers are checked against all of it.
+                while not build.done:
+                    if cell.error is not None:
+                        return
+                    yield _BLOCKED
+                build = None
         if not chunked:
             cell.dataset = engine.dataset(cell.task, cell.workload)
-        if cell.key is not None and self._serve_warm(cell):
-            cell.cached = True
-            return
+        if cell.key is not None:
+            if not warm:
+                engine.cache.stats.misses += 1
+            elif self._serve_warm(cell):
+                cell.cached = True
+                return
         engine._journal_cell(cell.profile.name, cell.task, cell.workload, CELL_IN_FLIGHT)
         if chunked:
             from repro.evalfw.accumulate import CellAccumulator
@@ -424,20 +669,28 @@ class StreamingEvaluator:
             cell.acc = CellAccumulator(
                 model=cell.profile.name, task=cell.task, workload=cell.workload
             )
-            chunks = self._dataset_chunks(
-                cell.task, cell.workload, persist=engine.cache is not None or shared
+            chunks = (
+                self._announced(build)
+                if build is not None
+                else self._dataset_chunks(
+                    cell.task, cell.workload, persist=engine.cache is not None or shared
+                )
             )
         else:
             chunks = _rechunk(iter([cell.dataset.instances]), MATERIALISED_CHUNK)
         # Naming a dataset slice needs a cache the workers can load it
         # from; in-process evaluation always has the instances at hand.
         by_slice = not chunked and engine.cache is not None and config.workers > 1
-        start = 0
-        for index, instances in enumerate(chunks):
+        index = start = 0
+        for instances in chunks:
             if cell.error is not None:
                 return
+            if instances is _BLOCKED:
+                yield instances
+                continue
             cell.held[index] = instances
             yield self._chunk_task(cell, index, start, instances, prompt, by_slice)
+            index += 1
             start += len(instances)
 
     def _chunk_task(
@@ -451,18 +704,10 @@ class StreamingEvaluator:
     ) -> ChunkTask:
         engine = self.engine
         config = engine.config
-        fault = None
-        if (
-            self.fault is not None
-            and self.fault.chunk == index
-            and (not self.fault.once or self.fault.fired == 0)
-        ):
-            fault = self.fault.kind
-            self.fault.fired += 1
         return ChunkTask(
             cell=cell.ident,
             chunk=index,
-            fault=fault,
+            fault=self._armed(index),
             spec=ShardSpec(
                 profile=cell.profile,
                 task=cell.task,
@@ -578,127 +823,48 @@ class StreamingEvaluator:
     # -- chunked instance production ---------------------------------------
 
     def _dataset_chunks(self, task: str, workload: str, persist: bool) -> Iterator[list]:
-        """The (task, workload) dataset in ``chunk_size`` chunks.
+        """The (task, workload) dataset in ``chunk_size`` chunks, in-process.
 
         Committed dataset segments are read back (see
-        :func:`_read_or_regenerate` for a damaged one); otherwise the
-        task generators run, and with ``persist`` their chunks are
+        :func:`read_or_regenerate` for a damaged one); otherwise the
+        dataset's build runs inline, and with ``persist`` its chunks are
         stored as segments for the next reader.
         """
         engine = self.engine
-        dkey = engine._dataset_disk_key(task, workload)
-        store = engine.cache if engine.cache is not None else engine._spill
-        manifest = store.get_dataset_manifest(dkey) if store is not None else None
+        store = engine._store()
+        build = self._build_item(task, workload)
+        manifest = store.get_dataset_manifest(build.dataset_key)
         if manifest is not None:
             store.stats.dataset_hits += 1
-            segments = _read_or_regenerate(
+            segments = read_or_regenerate(
                 store,
-                dkey,
-                store.iter_dataset_segments(dkey, manifest),
-                lambda: chain.from_iterable(
-                    self._generate(task, workload, dkey, store if persist else None)
-                ),
+                build.dataset_key,
+                store.iter_dataset_segments(build.dataset_key, manifest),
+                lambda: chain.from_iterable(build.chunks(store, persist)),
             )
             yield from _rechunk(segments, engine.config.chunk_size)
             return
-        if store is not None:
-            store.stats.dataset_misses += 1
-        elif persist:
-            store = engine._spill_store()
-        yield from self._generate(task, workload, dkey, store if persist else None)
-
-    def _generate(self, task: str, workload: str, dkey: str, store) -> Iterator[list]:
-        """One generator pass; stores segments + manifest in ``store``."""
-        config = self.engine.config
-        counts: list[int] = []
-        for chunk in iter_instance_chunks(
-            task,
-            self._workload_stream(workload),
-            seed=config.seed,
-            chunk_size=config.chunk_size,
-            max_instances=config.max_instances,
-        ):
-            if store is not None:
-                store.put_dataset_segment(dkey, len(counts), chunk)
-                counts.append(len(chunk))
-            yield chunk
-        if store is not None:
-            store.commit_dataset_segments(
-                dkey,
-                config.chunk_size,
-                counts,
-                meta={"task": task, "workload": workload},
-            )
-
-    # -- chunked workload production ---------------------------------------
-
-    def _workload_stream(self, workload: str) -> WorkloadStream:
-        """The workload's queries for one more dataset built from it.
-
-        A committed workload entry (in the cache, else in the spill
-        store) is read back.  Otherwise the generator runs and its
-        queries are stored as segments for the workload's next reader,
-        in the cache or else the spill store; storing costs about 2% of
-        generating, so even a lone reader stores them.  A capped run
-        (``max_instances``) stops reading early, so it never stores a
-        workload: a prefix must not pass for the whole.
-        """
-        engine = self.engine
-        config = engine.config
-        wkey = engine._workload_disk_key(workload)
-        store = engine.cache if engine.cache is not None else engine._spill
-        persist = config.max_instances is None
-        manifest = store.get_workload_manifest(wkey) if store is not None else None
-        if manifest is not None:
-
-            def regenerate() -> Iterator:
-                fresh = stream_workload(workload, config.seed)
-                return self._storing_queries(fresh, wkey, store) if persist else fresh.factory()
-
-            return WorkloadStream(
-                name=manifest["meta"]["workload"],
-                schemas=manifest["schemas"],
-                total=manifest["total"],
-                factory=lambda: chain.from_iterable(
-                    _read_or_regenerate(
-                        store, wkey, store.iter_workload_segments(wkey, manifest), regenerate
-                    )
-                ),
-            )
-        generated = stream_workload(workload, config.seed)
-        if not persist:
-            return generated
-        if store is None:
-            store = engine._spill_store()
-        return dataclasses.replace(
-            generated,
-            factory=lambda: self._storing_queries(generated, wkey, store),
-        )
-
-    def _storing_queries(self, stream: WorkloadStream, wkey: str, store) -> Iterator:
-        """``stream``'s queries, stored in ``store`` as they pass."""
-        queries = stream.factory()
-        chunk_size = self.engine.config.chunk_size
-        counts: list[int] = []
-        while segment := list(islice(queries, chunk_size)):
-            store.put_workload_segment(wkey, len(counts), segment)
-            counts.append(len(segment))
-            yield from segment
-        store.commit_workload_segments(
-            wkey, chunk_size, counts, stream.name, stream.schemas
-        )
+        store.stats.dataset_misses += 1
+        self.stats.builds += 1
+        self._inline[build.dataset_key] = build
+        yield from build.chunks(store, persist)
+        del self._inline[build.dataset_key]
 
     # -- executors ---------------------------------------------------------
 
-    def _run_in_process(self, items, by_ident, on_done, on_failed) -> None:
+    def _run_in_process(self, items, by_ident, on_done, on_failed) -> Iterator[None]:
         """The ``workers=1`` executor: each chunk answered in-process.
 
         Chunk boundaries are interrupt checkpoints.  The cell deadline
-        is spent cumulatively across the cell's chunks.
+        is spent cumulatively across the cell's chunks.  Yields after
+        every chunk and every cell the producer settles.
         """
         engine = self.engine
         deadline = engine.config.cell_deadline
         for item in items:
+            if item is _SETTLED:
+                yield
+                continue
             engine._checkpoint()
             cell = by_ident[item.cell]
             try:
@@ -725,23 +891,29 @@ class StreamingEvaluator:
                 )
             except Exception as error:  # noqa: BLE001 - the cell-error policy decides
                 on_failed(item, error)
-                continue
-            self.stats.worker_pids.add(multiprocessing.current_process().pid)
-            on_done(item, (answers, time.perf_counter() - started))
+            else:
+                self.stats.worker_pids.add(multiprocessing.current_process().pid)
+                on_done(item, (answers, time.perf_counter() - started))
+            yield
 
-    def _run_pool(
-        self, items: Iterator, on_done, on_failed, prefetch: int = PREFETCH
-    ) -> None:
+    def _run_pool(self, items: Iterator, on_done, on_failed) -> Iterator[None]:
         """Dispatch work items to the queue workers until all are done.
 
-        In-flight work is bounded at ``workers x prefetch`` items: the
-        producer only advances when a worker slot frees up.  Results
-        reach ``on_done`` / ``on_failed`` in completion order, each item
-        exactly once.  The pool starts with the first item, so a run
-        served wholly from the cache never spawns a worker.
+        In-flight work is bounded at ``workers x PREFETCH`` items: the
+        producer only advances when a worker slot frees up, and a worker
+        holding a build takes nothing more until the build is done.
+        Results reach ``on_done`` / ``on_failed`` in completion order,
+        each item exactly once; a build's announced segments reach
+        :meth:`_on_segment` as they come.  Yields after every result and
+        every cell the producer settles.
+        The pool starts with the first item, so a run served wholly from
+        the cache never spawns a worker.
         """
-        first = next(items, None)
-        if first is None:
+        for first in items:
+            if first is not _SETTLED:
+                break
+            yield
+        else:
             return
         items = chain([first], items)
         pool = self._get_pool()
@@ -749,16 +921,25 @@ class StreamingEvaluator:
         attempts: dict[tuple[int, int], int] = {}
         exhausted = False
 
-        def top_up() -> None:
+        def top_up() -> Iterator[None]:
             nonlocal exhausted
             while not exhausted:
-                free = [w for w in pool.live_workers() if len(w.assigned) < prefetch]
+                free = [
+                    w
+                    for w in pool.live_workers()
+                    if len(w.assigned) < PREFETCH and not w.holds_build
+                ]
                 if not free:
                     return
                 item = next(items, None)
                 if item is None:
                     exhausted = True
                     return
+                if item is _BLOCKED:
+                    return
+                if item is _SETTLED:
+                    yield
+                    continue
                 inflight[(item.cell, item.chunk)] = item
                 attempts[(item.cell, item.chunk)] = 1
                 min(free, key=lambda w: len(w.assigned)).dispatch(item)
@@ -779,7 +960,7 @@ class StreamingEvaluator:
                         on_failed(
                             item,
                             StreamWorkerCrash(
-                                f"chunk {item.chunk} killed its worker "
+                                f"{_describe(item)} killed its worker "
                                 f"{MAX_ATTEMPTS} times; giving up"
                             ),
                         )
@@ -792,7 +973,7 @@ class StreamingEvaluator:
                     )
 
         try:
-            top_up()
+            yield from top_up()
             while inflight or not exhausted:
                 # Interrupt checkpoint: raising here lands in the
                 # BaseException handler below, which drains the pool's
@@ -800,7 +981,7 @@ class StreamingEvaluator:
                 self.engine._checkpoint()
                 if not inflight:
                     replace_dead_workers()
-                    top_up()
+                    yield from top_up()
                     continue
                 try:
                     kind, pid, cell, chunk, payload = pool.result_queue.get(
@@ -809,17 +990,25 @@ class StreamingEvaluator:
                 except queue_module.Empty:
                     replace_dead_workers()
                     continue
-                pool.retire(pid, cell, chunk)
-                item = inflight.pop((cell, chunk), None)
+                if kind == "segment":
+                    item = inflight.get((cell, chunk))
+                else:
+                    pool.retire(pid, cell, chunk)
+                    item = inflight.pop((cell, chunk), None)
                 if item is not None:  # else a re-dispatch raced a slow original
                     self.stats.worker_pids.add(pid)
-                    if kind == "ok":
+                    if kind == "segment":
+                        self._on_segment(item, payload)
+                    elif kind == "ok":
                         on_done(item, payload)
                     elif isinstance(payload, BaseException):
                         on_failed(item, payload)
                     else:
-                        on_failed(item, StreamChunkError(f"chunk {chunk} failed: {payload}"))
-                top_up()
+                        on_failed(
+                            item, StreamChunkError(f"{_describe(item)} failed: {payload}")
+                        )
+                yield from top_up()
+                yield
         except BaseException:
             self._drain(pool)
             raise
@@ -827,17 +1016,26 @@ class StreamingEvaluator:
     def _drain(self, pool: StreamPool, timeout: float = 10.0) -> None:
         """Graceful shutdown of in-flight items after a failure.
 
-        Live workers finish (and we discard) what they already pulled,
-        so they end at a clean queue boundary; then every worker gets
-        its poison pill and the pool is torn down.  The next pooled run
-        starts a fresh pool.
+        A worker holding a build is stopped at once: the build's output
+        is uncommitted and about to be discarded, and a build can run
+        for long.  Other live workers finish (and we discard) what they
+        already pulled, so they end at a clean queue boundary; then
+        every worker gets its poison pill and the pool is torn down.
+        The next pooled run starts a fresh pool.
         """
+        for worker in pool.live_workers():
+            if worker.holds_build:
+                # SIGKILL: a worker forked while the run's SIGTERM
+                # handler was installed has inherited it.
+                worker.process.kill()
+                worker.process.join()
+                worker.assigned.clear()
         deadline = time.monotonic() + timeout
         while any(w.assigned for w in pool.live_workers()):
             if time.monotonic() > deadline:
                 break
             try:
-                _kind, pid, cell, chunk, _payload = pool.result_queue.get(
+                kind, pid, cell, chunk, _payload = pool.result_queue.get(
                     timeout=POLL_SECONDS
                 )
             except queue_module.Empty:
@@ -845,6 +1043,7 @@ class StreamingEvaluator:
                     if worker.is_dead():
                         worker.assigned.clear()
                 continue
-            pool.retire(pid, cell, chunk)
+            if kind != "segment":
+                pool.retire(pid, cell, chunk)
         pool.close()
         self._pool = None

@@ -11,13 +11,15 @@ Two kinds of work cross the queue:
   locally.  The slice's requests are batched through the async
   dispatcher to the spec's backend (backends are memoised per process,
   so replay stores and HTTP pools survive across chunks);
-* :class:`DatasetTask` — build all of one workload's datasets in a
-  worker, so the parent overlaps dataset construction across
-  workloads.  ``build_dataset`` is deterministic in its arguments, so
-  the copies shipped back are identical to what the parent would
-  build.  With a cache directory the worker also persists the datasets
-  (and the workload it loaded) so sibling workers materialize from
-  disk instead of rebuilding.
+* :class:`BuildTask` — build one (task, workload) dataset with the
+  sequential task generators.  A chunked build stores each segment as
+  it is written (in the cache, else the engine's spill directory) and
+  announces it to the parent, which cuts the cells' chunks from the
+  announced segments while the build goes on; an unchunked build ships
+  the whole dataset back (and persists it when a cache is set).  The
+  first build of a workload also stores the workload's queries, which
+  its other builds read instead of generating them again.  The parent
+  runs the same :meth:`BuildTask.chunks` inline at ``workers=1``.
 
 Everything crossing the boundary is plain picklable dataclasses, and
 every answer depends only on ``(model, task, instance_id)`` — which is
@@ -26,12 +28,14 @@ why any materialization path yields byte-identical results.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from repro.engine.cache import ResultCache
+from repro.engine.cache import CacheSegmentError, ResultCache
 from repro.llm.backends import (
     DEFAULT_MAX_CONCURRENCY,
     SIMULATED_SPEC,
@@ -46,8 +50,10 @@ from repro.prompts.templates import PromptTemplate
 from repro.sql.analysis_cache import ensure_capacity
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 from repro.tasks.registry import answers_from_responses, build_dataset, build_request
+from repro.tasks.streaming import iter_instance_chunks
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
+from repro.workloads.streaming import WorkloadStream, stream_workload
 
 _WORKLOADS: dict[tuple[str, int], Workload] = {}
 _DATASETS: dict[tuple[str, str, int, Optional[int]], TaskDataset] = {}
@@ -125,13 +131,19 @@ def _workload(name: str, seed: int, cache: Optional[ResultCache], key: Optional[
     return workload
 
 
-def _dataset(source, task: str, dataset_key: Optional[str]) -> TaskDataset:
+def _dataset(
+    source,
+    task: str,
+    dataset_key: Optional[str],
+    workload_store: Optional[ResultCache] = None,
+) -> TaskDataset:
     """A dataset in this process: memo -> disk cache -> rebuild.
 
-    ``source`` (a :class:`ShardSpec` or :class:`DatasetTask`) names the
-    workload, seed, instance cap and cache.  A rebuilt dataset (and the
-    workload it was built from) is persisted when a cache is given, so
-    sibling workers load instead of rebuilding.
+    ``source`` (a :class:`ShardSpec` or :class:`BuildTask`) names the
+    workload, seed, instance cap and cache.  A rebuilt dataset is
+    persisted when a cache is given, so sibling workers load instead of
+    rebuilding; the workload it was built from is read from, or stored
+    in, ``workload_store`` (default: the cache).
     """
     memo_key = (task, source.workload, source.seed, source.max_instances)
     dataset = _DATASETS.get(memo_key)
@@ -142,7 +154,10 @@ def _dataset(source, task: str, dataset_key: Optional[str]) -> TaskDataset:
         dataset = cache.get_dataset(dataset_key)
     if dataset is None:
         workload = _workload(
-            source.workload, source.seed, cache, source.workload_cache_key
+            source.workload,
+            source.seed,
+            workload_store or cache,
+            source.workload_cache_key,
         )
         dataset = build_dataset(
             task, workload, seed=source.seed, max_instances=source.max_instances
@@ -219,37 +234,151 @@ class ChunkTask:
     spec: ShardSpec
     fault: Optional[str] = None
 
-    def run(self) -> tuple[list[ModelAnswer], float]:
+    def run(self, announce) -> tuple[list[ModelAnswer], float]:
         _, answers, seconds = evaluate_shard(self.spec)
         return answers, seconds
 
 
-@dataclass(frozen=True)
-class DatasetTask:
-    """Build every listed dataset of one workload (``chunk`` numbers it).
+def read_or_regenerate(
+    store, key: str, segments: Iterator[list], regenerate: Callable[[], Iterator]
+) -> Iterator[Iterable]:
+    """A committed entry's ``segments``, in order.
 
-    ``tasks`` is ``((task, dataset_key), ...)``.  Grouping by
-    workload is what makes the parallel cold path scale: the workload is
-    loaded once, and the process-wide analysis cache is shared across
-    the workload's tasks (which reuse the same query texts), instead of
-    every worker independently re-loading and re-parsing the same
-    workload for one task each.  With a cache the built datasets (and
-    the workload) are persisted, so sibling workers and later chunks
-    materialize them from disk instead of rebuilding.
+    A segment that turns out unreadable mid-read drops the entry; the
+    rest comes as one last iterable from ``regenerate()``, a fresh
+    generator pass, skipping the items already served.
+    """
+    served = 0
+    try:
+        for segment in segments:
+            yield segment
+            served += len(segment)
+        return
+    except CacheSegmentError:
+        store.discard_segments(key)
+    yield islice(regenerate(), served, None)
+
+
+@dataclass(frozen=True)
+class BuildTask:
+    """One (task, workload) dataset build, in a queue worker or inline.
+
+    ``cell`` numbers the build in the work queue (builds and cells share
+    one numbering) and ``chunk`` is always 0.  ``store_root`` is where
+    the workload's queries, and a chunked build's dataset segments, are
+    stored: the result cache, else the engine's spill directory.
+    ``cache_root`` is the result cache (None without one), where an
+    unchunked build persists its dataset.  ``fault`` works as on
+    :class:`ChunkTask`, except that a "crash" kills the worker after the
+    build has run, so its re-dispatch rewrites (and re-announces) every
+    segment.
     """
 
-    chunk: int
+    cell: int
+    task: str
     workload: str
     seed: int
-    tasks: tuple[tuple[str, str], ...]
     max_instances: Optional[int]
-    cache_root: Optional[str]
+    dataset_key: str
     workload_cache_key: str
-    cell: int = -1
+    store_root: str
+    cache_root: Optional[str] = None
+    #: None builds the whole dataset and ships it back.
+    chunk_size: Optional[int] = None
+    chunk: int = 0
     fault: Optional[str] = None
 
-    def run(self) -> list[TaskDataset]:
-        return [_dataset(self, task, dataset_key) for task, dataset_key in self.tasks]
+    @property
+    def stores_workload(self) -> bool:
+        """Whether this build stores its workload when none is stored.
+
+        A capped chunked build reads only a prefix of the queries, and a
+        prefix must not pass for the whole workload.
+        """
+        return self.chunk_size is None or self.max_instances is None
+
+    def run(self, announce: Callable[[int, int], None]) -> Optional[TaskDataset]:
+        """Build the dataset; ``announce(index, count)`` each stored segment."""
+        store = ResultCache(Path(self.store_root))
+        if self.chunk_size is None:
+            return _dataset(self, self.task, self.dataset_key, workload_store=store)
+        for index, chunk in enumerate(self.chunks(store)):
+            announce(index, len(chunk))
+        return None
+
+    def chunks(self, store: ResultCache, persist: bool = True) -> Iterator[list]:
+        """One generator pass over the dataset, ``chunk_size`` at a time.
+
+        With ``persist`` each chunk is stored in ``store`` as a dataset
+        segment before it is yielded, and the manifest is written last.
+        """
+        counts: list[int] = []
+        for chunk in iter_instance_chunks(
+            self.task,
+            self._queries(store),
+            seed=self.seed,
+            chunk_size=self.chunk_size,
+            max_instances=self.max_instances,
+        ):
+            if persist:
+                store.put_dataset_segment(self.dataset_key, len(counts), chunk)
+                counts.append(len(chunk))
+            yield chunk
+        if persist:
+            store.commit_dataset_segments(
+                self.dataset_key,
+                self.chunk_size,
+                counts,
+                meta={"task": self.task, "workload": self.workload},
+            )
+
+    def _queries(self, store: ResultCache) -> WorkloadStream:
+        """The workload's queries for this build.
+
+        A committed workload entry in ``store`` is read back.  Otherwise
+        the generator runs, and a build that :attr:`stores_workload`
+        stores the queries as segments as they pass, for the workload's
+        next build; storing costs about 2% of generating, so even a lone
+        build stores them.
+        """
+        key = self.workload_cache_key
+        manifest = store.get_workload_manifest(key)
+        if manifest is not None:
+
+            def regenerate() -> Iterator:
+                fresh = stream_workload(self.workload, self.seed)
+                if self.stores_workload:
+                    return self._storing_queries(fresh, store)
+                return fresh.factory()
+
+            return WorkloadStream(
+                name=manifest["meta"]["workload"],
+                schemas=manifest["schemas"],
+                total=manifest["total"],
+                factory=lambda: chain.from_iterable(
+                    read_or_regenerate(
+                        store, key, store.iter_workload_segments(key, manifest), regenerate
+                    )
+                ),
+            )
+        generated = stream_workload(self.workload, self.seed)
+        if not self.stores_workload:
+            return generated
+        return dataclasses.replace(
+            generated, factory=lambda: self._storing_queries(generated, store)
+        )
+
+    def _storing_queries(self, stream: WorkloadStream, store: ResultCache) -> Iterator:
+        """``stream``'s queries, stored in ``store`` as they pass."""
+        queries = stream.factory()
+        counts: list[int] = []
+        while segment := list(islice(queries, self.chunk_size)):
+            store.put_workload_segment(self.workload_cache_key, len(counts), segment)
+            counts.append(len(segment))
+            yield from segment
+        store.commit_workload_segments(
+            self.workload_cache_key, self.chunk_size, counts, stream.name, stream.schemas
+        )
 
 
 def stream_worker_main(task_queue, result_queue) -> None:
@@ -259,8 +388,10 @@ def stream_worker_main(task_queue, result_queue) -> None:
     kind ``ok`` (payload: what the item's ``run()`` returned) or
     ``error`` (payload: a backend error itself, so the parent can apply
     the cell-error policy to it, else the formatted exception).  A
-    crashed worker sends nothing — the parent notices the dead process
-    and re-dispatches its assignments.
+    build also sends ``segment`` messages (payload: ``(index, count)``)
+    as it stores its dataset.  A crashed worker sends nothing more —
+    the parent notices the dead process and re-dispatches its
+    assignments.
     """
     import os
     import signal
@@ -277,12 +408,19 @@ def stream_worker_main(task_queue, result_queue) -> None:
         item = task_queue.get()
         if item is None:
             break
+
+        def announce(index: int, count: int) -> None:
+            result_queue.put(("segment", pid, item.cell, item.chunk, (index, count)))
+
         try:
-            if item.fault == "crash":
+            if item.fault == "crash" and isinstance(item, ChunkTask):
                 os._exit(43)
             if item.fault == "poison":
                 raise RuntimeError("injected poison fault")
-            result_queue.put(("ok", pid, item.cell, item.chunk, item.run()))
+            result = item.run(announce)
+            if item.fault == "crash":
+                os._exit(43)
+            result_queue.put(("ok", pid, item.cell, item.chunk, result))
         except Exception as error:  # noqa: BLE001 - reported to the parent
             result_queue.put(
                 (

@@ -615,6 +615,10 @@ def execute_prepared(
     try:
         with interrupt:
             if workload_name is not None:
+                # One scheduler pass over the whole grid: each task's
+                # report is rendered as soon as its last cell commits,
+                # while later tasks' datasets build.
+                runner.engine.plan_tasks(tuple(wanted), (workload_name,))
                 for task in wanted:
                     started = time.perf_counter()
                     text = workload_grid_text(runner, task, workload_name)

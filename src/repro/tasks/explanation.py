@@ -105,8 +105,12 @@ def explanation_overlap_f1(gold: str, explanation: str) -> float:
     """Token-overlap F1 between gold description and model explanation.
 
     A crude but monotone proxy for explanation fidelity: detail-dropping
-    lowers recall, hallucinated content lowers precision.
+    lowers recall, hallucinated content lowers precision.  Only
+    ``query_exp`` instances carry gold text; without it the score is 0
+    and neither text is tokenized.
     """
+    if not gold:
+        return 0.0
     gold_tokens = _tokens(gold)
     pred_tokens = _tokens(explanation)
     if not gold_tokens or not pred_tokens:

@@ -9,14 +9,17 @@ them: the same task instances in the same order for every workload
 family and task, the same metrics from the engine, and interchangeable
 cache entries (a chunked run warms an unchunked run and vice versa).
 Each (task, workload) dataset is generated once per engine whatever
-the cache setting, and so is each workload.
+the cache setting, and so is each workload; with several workers both
+are generated in the queue workers, never in the parent.
 """
 
+import os
 from itertools import chain
 
 import pytest
 
-import repro.engine.streaming as streaming
+import repro.engine.worker as worker
+import repro.tasks.streaming as task_streaming
 from repro.engine import EngineConfig, ExperimentEngine
 from repro.engine.cache import ResultCache, dataset_key, workload_key
 from repro.llm.profiles import MODEL_PROFILES
@@ -112,6 +115,52 @@ def _count(cell):
     return getattr(cell, "instance_count", None) or len(cell.answers)
 
 
+class _Calls:
+    """Calls of a wrapped function, from this process or a forked worker.
+
+    Each call appends ``<pid> <label>`` to a file, so calls made in
+    queue workers are counted too.
+    """
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def wrap(self, monkeypatch, target, name, label=lambda *args: ""):
+        """Record every call of ``target.name`` (or ``target[name]``)."""
+        mapping = isinstance(target, dict)
+        original = target[name] if mapping else getattr(target, name)
+        path = self.path
+
+        def recording(*args, **kwargs):
+            with open(path, "a", encoding="utf-8") as log:
+                log.write(f"{os.getpid()} {label(*args)}\n")
+            return original(*args, **kwargs)
+
+        if mapping:
+            monkeypatch.setitem(target, name, recording)
+        else:
+            monkeypatch.setattr(target, name, recording)
+
+    def records(self) -> list[tuple[int, str]]:
+        if not self.path.exists():
+            return []
+        return [
+            (int(pid), label)
+            for pid, _, label in (
+                line.partition(" ") for line in self.path.read_text().splitlines()
+            )
+        ]
+
+    def labels(self) -> list[str]:
+        return [label for _, label in self.records()]
+
+    def clear(self) -> None:
+        self.path.unlink(missing_ok=True)
+
+    def __len__(self) -> int:
+        return len(self.records())
+
+
 _GRID_REFERENCE: dict = {}
 
 
@@ -205,16 +254,10 @@ class TestDatasetGeneratedOnce:
     cache setting; warm unchunked runs read each dataset once."""
 
     @pytest.fixture
-    def passes(self, monkeypatch):
-        counter = {"passes": 0}
-        original = streaming.iter_instance_chunks
-
-        def counting(*args, **kwargs):
-            counter["passes"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(streaming, "iter_instance_chunks", counting)
-        return counter
+    def passes(self, monkeypatch, tmp_path):
+        calls = _Calls(tmp_path / "passes.log")
+        calls.wrap(monkeypatch, task_streaming, "iter_task_instances")
+        return calls
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_chunked_grid_generates_each_dataset_once(self, tmp_path, passes, workers):
@@ -224,14 +267,15 @@ class TestDatasetGeneratedOnce:
             ("cold", tmp_path / "cache", 1),
             ("warm", tmp_path / "cache", 0),
         ):
-            passes["passes"] = 0
+            passes.clear()
             config = EngineConfig(
                 seed=SEED, chunk_size=30, workers=workers, cache_dir=cache_dir
             )
             with ExperimentEngine(config, MODEL_PROFILES) as engine:
                 grid = engine.run_task("syntax_error", (workload_name,))
+                assert engine.stream_stats()["builds"] == expected, label
             assert len(grid) == len(MODEL_PROFILES)
-            assert passes["passes"] == expected, label
+            assert len(passes) == expected, label
 
     def test_spill_directory_is_removed_on_close(self, passes):
         config = EngineConfig(seed=SEED, chunk_size=30)
@@ -240,7 +284,7 @@ class TestDatasetGeneratedOnce:
             spill = engine._spill.root
             assert spill.is_dir()
         assert not spill.exists()
-        assert passes["passes"] == 1
+        assert len(passes) == 1
 
     def test_warm_unchunked_grid_reads_each_dataset_once(self, tmp_path):
         config = EngineConfig(seed=SEED, cache_dir=tmp_path / "cache")
@@ -267,17 +311,16 @@ class TestWorkloadGeneratedOnce:
     )
 
     @pytest.fixture
-    def passes(self, monkeypatch):
+    def passes(self, monkeypatch, tmp_path):
         import repro.workloads.synthetic.generator as generator
 
-        calls = []
-        original = generator.iter_synthetic_queries
-
-        def counting(spec, *args, **kwargs):
-            calls.append(spec.canonical())
-            return original(spec, *args, **kwargs)
-
-        monkeypatch.setattr(generator, "iter_synthetic_queries", counting)
+        calls = _Calls(tmp_path / "passes.log")
+        calls.wrap(
+            monkeypatch,
+            generator,
+            "iter_synthetic_queries",
+            label=lambda spec, *args: spec.canonical(),
+        )
         return calls
 
     def _grid(self, config, tasks):
@@ -301,7 +344,7 @@ class TestWorkloadGeneratedOnce:
                 seed=SEED, chunk_size=10, workers=workers, cache_dir=cache_dir
             )
             grids = self._grid(config, self.ALL_TASKS)
-            assert passes == [GRID_WORKLOAD] * expected, label
+            assert passes.labels() == [GRID_WORKLOAD] * expected, label
             metrics = {
                 task: [_metrics(cell) for cell in grid.values()]
                 for task, grid in grids.items()
@@ -339,6 +382,173 @@ class TestWorkloadGeneratedOnce:
         grid = self._grid(config, ("syntax_error",))["syntax_error"]
         assert all(_count(cell) == GRID_N for cell in grid.values())
         assert len(cache.get_workload(workload_key(GRID_WORKLOAD, SEED))) == GRID_N
+
+
+class TestBuildsRunInWorkers:
+    """With several workers each dataset is one build work item, run in a
+    queue worker: no task-instance or workload generator runs in the
+    parent, which schedules, reads announced segments and merges."""
+
+    ALL_TASKS = TestWorkloadGeneratedOnce.ALL_TASKS
+
+    def test_chunked_five_task_grid(self, tmp_path, monkeypatch):
+        import repro.workloads.synthetic.generator as generator
+
+        calls = _Calls(tmp_path / "calls.log")
+        calls.wrap(
+            monkeypatch, task_streaming, "iter_task_instances", label=lambda task, *a: task
+        )
+        calls.wrap(
+            monkeypatch, generator, "iter_synthetic_queries", label=lambda *a: "workload"
+        )
+        reference = None
+        for label, cache_dir, builds in (
+            ("cold", tmp_path / "cache", 5),
+            ("warm", tmp_path / "cache", 0),
+            ("no cache", None, 5),
+        ):
+            calls.clear()
+            config = EngineConfig(seed=SEED, chunk_size=10, workers=2, cache_dir=cache_dir)
+            with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+                grids = dict(engine.run_tasks(self.ALL_TASKS, (GRID_WORKLOAD,)))
+                stats = engine.stream_stats()
+            assert stats["builds"] == builds, label
+            expected = sorted([*self.ALL_TASKS, "workload"]) if builds else []
+            assert sorted(calls.labels()) == expected, label
+            assert os.getpid() not in {pid for pid, _ in calls.records()}, label
+            metrics = {
+                task: [_metrics(cell) for cell in grid.values()]
+                for task, grid in grids.items()
+            }
+            assert metrics == (reference or metrics), label
+            reference = metrics
+        assert list(reference) == list(self.ALL_TASKS)
+
+    @pytest.mark.parametrize("cached", (False, True))
+    def test_unchunked_paper_task(self, tmp_path, monkeypatch, cached):
+        import repro.tasks.registry as registry
+        import repro.workloads as workloads
+
+        with ExperimentEngine(EngineConfig(seed=SEED), MODEL_PROFILES[:2]) as engine:
+            reference = engine.run_task("syntax_error", ("sdss",))
+        # Forked workers would inherit a memo of this process's own.
+        worker.reset_worker_caches()
+        calls = _Calls(tmp_path / "calls.log")
+        calls.wrap(monkeypatch, workloads._GENERATORS, "sdss", label=lambda *a: "workload")
+        calls.wrap(
+            monkeypatch,
+            registry,
+            "build_syntax_error_dataset",
+            label=lambda *a: "syntax_error",
+        )
+        config = EngineConfig(
+            seed=SEED, workers=2, cache_dir=tmp_path / "cache" if cached else None
+        )
+        with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+            grid = engine.run_task("syntax_error", ("sdss",))
+        assert sorted(calls.labels()) == ["syntax_error", "workload"]
+        assert os.getpid() not in {pid for pid, _ in calls.records()}
+        assert list(grid) == list(reference)
+        for key, cell in grid.items():
+            assert cell.answers == reference[key].answers, key
+
+
+class TestOnePassGrid:
+    """A ``--workload`` request is one scheduler pass over every task."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_reports_match_per_task_run_task(self, tmp_path, monkeypatch, workers):
+        from repro import execution
+        from repro.engine.streaming import StreamingEvaluator
+        from repro.evalfw.runner import ExperimentRunner
+
+        passes = []
+        evaluate = StreamingEvaluator.evaluate
+
+        def counted(self, *args, **kwargs):
+            passes.append(args[0])
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingEvaluator, "evaluate", counted)
+
+        request = execution.RunRequest(
+            workload=GRID_WORKLOAD,
+            seed=SEED,
+            workers=workers,
+            chunk_size=10,
+            cache_dir=tmp_path / "cache",
+            runs_dir=tmp_path / "runs",
+        )
+        prepared = execution.prepare_run(request)
+        emitted: list[str] = []
+        outcome = execution.execute_prepared(
+            prepared, None, emit=emitted.append, info=lambda message: None
+        )
+        assert outcome.status == "completed"
+        assert [report["name"] for report in outcome.reports] == prepared.wanted
+        assert len(passes) == 1 and len(passes[0]) == 5 * len(MODEL_PROFILES)
+        runner = ExperimentRunner(seed=SEED, chunk_size=10)
+        try:
+            expected = []
+            for task in prepared.wanted:
+                expected.append(f"\n=== Task {task} over workload {GRID_WORKLOAD} ===\n")
+                expected.append(execution.workload_grid_text(runner, task, GRID_WORKLOAD))
+        finally:
+            runner.close()
+        assert len(prepared.wanted) == 5
+        assert emitted == expected
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_each_report_follows_its_last_commit(self, tmp_path, workers):
+        """Served from the cache, each task's report is rendered right
+        after its own cells commit, not after the whole grid."""
+        from repro import execution
+
+        request = execution.RunRequest(
+            workload=GRID_WORKLOAD,
+            seed=SEED,
+            workers=workers,
+            chunk_size=10,
+            cache_dir=tmp_path / "cache",
+            runs_dir=tmp_path / "runs",
+        )
+        prepared = execution.prepare_run(request)
+        quiet = {"emit": lambda text: None, "info": lambda message: None}
+        execution.execute_prepared(prepared, None, **quiet)
+        committed = {"cells": 0}
+        at_report = []
+
+        def emit(text: str) -> None:
+            if text.startswith("\n=== "):
+                at_report.append(committed["cells"])
+
+        def on_commit(engine) -> None:
+            committed["cells"] = engine.cached_cells
+
+        outcome = execution.execute_prepared(
+            prepared, None, emit=emit, info=quiet["info"], on_cell_commit=on_commit
+        )
+        assert outcome.cached_cells == 5 * len(MODEL_PROFILES)
+        models = len(MODEL_PROFILES)
+        assert at_report == [models * (i + 1) for i in range(5)]
+
+    def test_unplanned_call_ends_the_plan(self):
+        """A run_task call the plan does not expect ends the pass first;
+        every call still returns its task's grid."""
+        tasks = ("syntax_error", "miss_token", "query_equiv")
+        config = EngineConfig(seed=SEED, chunk_size=10, workers=2)
+        with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+            reference = dict(engine.run_tasks(tasks, (GRID_WORKLOAD,)))
+        with ExperimentEngine(config, MODEL_PROFILES[:2]) as engine:
+            engine.plan_tasks(tasks, (GRID_WORKLOAD,))
+            first = engine.run_task("syntax_error", (GRID_WORKLOAD,))
+            skipped = engine.run_task("query_equiv", (GRID_WORKLOAD,))
+            assert engine._plan is None
+            late = engine.run_task("miss_token", (GRID_WORKLOAD,))
+        for task, grid in zip(tasks, (first, late, skipped)):
+            assert [_metrics(c) for c in grid.values()] == [
+                _metrics(c) for c in reference[task].values()
+            ], task
 
 
 class TestCacheInterchangeability:

@@ -134,6 +134,17 @@ class TestOverlapF1:
         assert explanation_overlap_f1("", "anything") == 0.0
         assert explanation_overlap_f1("anything", "") == 0.0
 
+    def test_empty_gold_skips_the_tokenizer(self, monkeypatch):
+        """Only query_exp instances carry gold text; for the rest the
+        score is 0.0 without tokenizing the model's explanation."""
+        import repro.tasks.explanation as explanation
+
+        def tokens(text):
+            raise AssertionError(f"tokenized {text!r}")
+
+        monkeypatch.setattr(explanation, "_tokens", tokens)
+        assert explanation_overlap_f1("", "Counts the rows per college.") == 0.0
+
     def test_detail_drop_lowers_score(self):
         gold = "find the name and location of stadiums hosting concerts"
         full = "Find the name and location of stadiums hosting concerts."
